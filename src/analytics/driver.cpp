@@ -1,5 +1,7 @@
 #include "analytics/driver.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -55,6 +57,7 @@ void AnalysisDriver::ensure_states() {
       shard.push_back(pass->make_state());
     }
   }
+  cursors_.assign(tracks_streams_ ? shard_slots_ : 0, core::Classifier{});
 }
 
 void AnalysisDriver::attach(core::IngestOptions& options) {
@@ -98,20 +101,22 @@ void AnalysisDriver::observe(const core::UpdateRecord& record) {
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("observe()");
   ensure_states();
-  for (const auto& state : states_[0]) state->observe(record);
+  observe_record(record);
 }
 
 void AnalysisDriver::observe_stream(const core::UpdateStream& stream) {
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("observe_stream()");
   ensure_states();
-  // Pass-major iteration keeps each pass's state hot in cache across the
-  // whole stream instead of cycling every state per record.
-  for (const auto& state : states_[0]) {
-    for (const core::UpdateRecord& record : stream.records()) {
-      state->observe(record);
-    }
+  for (const core::UpdateRecord& record : stream.records()) {
+    observe_record(record);
   }
+}
+
+void AnalysisDriver::observe_record(const core::UpdateRecord& record) {
+  const core::Transition transition =
+      cursors_.empty() ? core::Transition{} : cursors_[0].classify(record);
+  for (const auto& state : states_[0]) state->observe(record, transition);
 }
 
 void AnalysisDriver::observe_shard(
@@ -134,10 +139,20 @@ void AnalysisDriver::observe_shard(
         "after report() — attach a fresh driver per run");
   }
   obs::pipeline_metrics().analysis_observe_records->inc(records.size());
+  // Classify each block of records once into a stack array (no heap), then
+  // let each pass fold the block in turn (pass-major keeps states hot).
+  constexpr std::size_t kBlock = 512;
+  std::array<core::Transition, kBlock> transitions{};
   std::vector<std::unique_ptr<detail::AnyState>>& slot = states_.at(shard);
-  for (const auto& state : slot) {
-    for (const core::SeqRecord& sr : records) {
-      state->observe(sr.record);
+  for (std::size_t begin = 0; begin < records.size(); begin += kBlock) {
+    const std::size_t count = std::min(kBlock, records.size() - begin);
+    for (std::size_t i = 0; !cursors_.empty() && i < count; ++i) {
+      transitions[i] = cursors_[shard].classify(records[begin + i].record);
+    }
+    for (const auto& state : slot) {
+      for (std::size_t i = 0; i < count; ++i) {
+        state->observe(records[begin + i].record, transitions[i]);
+      }
     }
   }
 }
@@ -201,6 +216,7 @@ void AnalysisDriver::finalize() {
   std::lock_guard<std::mutex> lock(window_mutex_);
   final_ = std::move(last);
   states_.clear();
+  cursors_.clear();
   finalized_ = true;
 }
 
@@ -298,25 +314,24 @@ void AnalysisDriver::load_state(std::istream& in) {
         "load_state: file is a bare ingest cursor, not a pass-state file");
   }
   check_tags(r);
-  if (kind == serialize::BlockKind::kPartialState) {
-    for (std::size_t p = 0; p < passes_.size(); ++p) {
-      std::unique_ptr<detail::AnyState> fresh = passes_[p]->make_state();
-      read_state_blob(r, *fresh);
-      states_[0][p]->merge(std::move(*fresh));
-    }
-    return;
-  }
-  // kCheckpoint: fold every shard slot into the sink slot. Valid for
+  // A kCheckpoint's shard slots all fold into the sink slot: valid for
   // combining disjoint runs; resuming needs restore() (shard fidelity).
-  if (r.boolean()) {
-    (void)serialize::read_ingest_checkpoint(r);  // cursor: skip
+  const bool checkpoint = kind == serialize::BlockKind::kCheckpoint;
+  std::uint16_t shard_count = 1;
+  if (checkpoint) {
+    if (r.boolean()) {
+      (void)serialize::read_ingest_checkpoint(r);  // cursor: skip
+    }
+    shard_count = r.u16();
   }
-  std::uint16_t shard_count = r.u16();
   for (std::uint16_t s = 0; s < shard_count; ++s) {
     for (std::size_t p = 0; p < passes_.size(); ++p) {
       std::unique_ptr<detail::AnyState> fresh = passes_[p]->make_state();
       read_state_blob(r, *fresh);
       states_[0][p]->merge(std::move(*fresh));
+    }
+    if (checkpoint && !cursors_.empty()) {
+      (void)serialize::read_stream_cursors(r);  // no stream continues
     }
   }
 }
@@ -351,8 +366,9 @@ void AnalysisDriver::checkpoint_impl(std::ostream& out,
     serialize::write_ingest_checkpoint(w, ingestor->checkpoint_state());
   }
   w.u16(static_cast<std::uint16_t>(states_.size()));
-  for (const auto& shard : states_) {
-    for (const auto& state : shard) write_state_blob(w, *state);
+  for (std::size_t s = 0; s < states_.size(); ++s) {
+    for (const auto& state : states_[s]) write_state_blob(w, *state);
+    if (!cursors_.empty()) serialize::write_stream_cursors(w, cursors_[s]);
   }
   out.flush();
   if (!out) throw DecodeError("checkpoint: output stream failed on flush");
@@ -414,8 +430,9 @@ void AnalysisDriver::restore_impl(std::istream& in,
   if (!states_.empty() && states_.size() != shard_count) states_.clear();
   shard_slots_ = shard_count;
   ensure_states();
-  for (auto& shard : states_) {
-    for (auto& state : shard) read_state_blob(r, *state);
+  for (std::size_t s = 0; s < states_.size(); ++s) {
+    for (auto& state : states_[s]) read_state_blob(r, *state);
+    if (!cursors_.empty()) cursors_[s] = serialize::read_stream_cursors(r);
   }
 }
 

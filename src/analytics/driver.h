@@ -129,6 +129,7 @@ class AnalysisDriver {
     ensure_can_add();
     passes_.push_back(
         std::make_unique<detail::PassModel<P>>(std::move(pass)));
+    tracks_streams_ |= ObservesTransitions<typename P::State>;
     return PassHandle<P>{passes_.size() - 1, this};
   }
 
@@ -206,14 +207,15 @@ class AnalysisDriver {
   /// itself. Checkpoint shard slots are folded into the sink slot, so
   /// load_state is valid only for combining DISJOINT runs (no session
   /// continues across the boundary) — resuming an interrupted run needs
-  /// restore(), which keeps shard fidelity. Callable any number of
-  /// times before report().
+  /// restore(), which keeps shard fidelity (a checkpoint's cursor tables
+  /// are skipped). Callable any number of times before report().
   void load_state(std::istream& in);
 
-  /// Writes a kCheckpoint block: every per-shard state, shard-faithful,
-  /// so a restore()d driver continues per-session streams in the shard
-  /// slots that own them. The driver keeps running — checkpointing is a
-  /// snapshot, not a finalization. Throws ConfigError once finalized.
+  /// Writes a kCheckpoint block: every per-shard state and cursor table,
+  /// shard-faithful, so a restore()d driver continues per-session streams
+  /// in the shard slots that own them. The driver keeps running —
+  /// checkpointing is a snapshot, not a finalization. Throws ConfigError
+  /// once finalized.
   void checkpoint(std::ostream& out);
 
   /// Same, additionally embedding `ingestor`'s resumable cursor
@@ -221,8 +223,8 @@ class AnalysisDriver {
   /// re-positions ingestion at the exact window boundary.
   void checkpoint(std::ostream& out, const core::StreamingIngestor& ingestor);
 
-  /// Restores a checkpoint into this driver: every shard state's
-  /// evidence is REPLACED by the saved snapshot (anything observed
+  /// Restores a checkpoint into this driver: every shard state and cursor
+  /// table is REPLACED by the saved snapshot (anything observed
   /// before the call is discarded — restore first, then ingest). The
   /// same passes must be registered; attach() may already have run (the
   /// resume order is attach → construct ingestor → restore). Throws
@@ -244,6 +246,8 @@ class AnalysisDriver {
   void ensure_states();
   void observe_shard(std::size_t shard,
                      const std::vector<core::SeqRecord>& records);
+  /// Folds one record into the sink slot (window_mutex_ held).
+  void observe_record(const core::UpdateRecord& record);
   /// Uniform use-after-finalize error, naming the offending call.
   [[noreturn]] void throw_finalized(const char* call) const;
   /// Adopts a final snapshot and clears the live states (idempotent).
@@ -266,6 +270,12 @@ class AnalysisDriver {
   /// (any partition of the observations merges to the same final state —
   /// the Pass contract).
   std::vector<std::vector<std::unique_ptr<detail::AnyState>>> states_;
+  /// True once a registered pass observes transitions (pass.h).
+  bool tracks_streams_ = false;
+  /// cursors_[shard]: the shard's §5 stream-cursor table, minted with
+  /// states_ when tracks_streams_. Engine state like the cleaning carry:
+  /// checkpoints carry it; snapshots and reports never read it.
+  std::vector<core::Classifier> cursors_;
   /// The committed-window barrier: held by the engine for the whole
   /// observer phase of each window (attach() wires window_begin /
   /// window_commit to lock/unlock), by snapshot() while cloning, and by

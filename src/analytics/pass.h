@@ -20,6 +20,11 @@
 // identically for 1 thread, N threads, any window size, inline or sink —
 // analytics_test asserts exactly that for every shipped pass.
 //
+// Transition overload: a State needing the §5 comparison with each
+// stream's previous announcement declares observe(record, transition)
+// instead and keeps no stream cursor; the driver classifies each record
+// once against a per-shard core::Classifier table.
+//
 // Snapshot contract: State must additionally be copy-constructible, and
 // the copy must be a faithful, independent deep copy — epoch reporting
 // (AnalysisDriver::snapshot) clones every per-shard state and merges the
@@ -35,6 +40,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/classifier.h"
 #include "core/stream.h"
 #include "netbase/error.h"
 
@@ -45,6 +51,13 @@ class Writer;
 class Reader;
 }  // namespace serialize
 
+/// A State taking the transition overload (see the header comment).
+template <typename S>
+concept ObservesTransitions =
+    requires(S& state, const core::UpdateRecord& r, const core::Transition& t) {
+      state.observe(r, t);
+    };
+
 /// The compile-time shape of an analysis pass (see the header comment
 /// for the semantic contract the types must honor). The State must be
 /// copy-constructible: AnalysisDriver::snapshot clones per-shard states
@@ -53,13 +66,15 @@ class Reader;
 template <typename P>
 concept Pass = std::move_constructible<P> &&
     std::copy_constructible<typename P::State> &&
-    requires(const P& pass, typename P::State& state, typename P::State&& tmp,
-             const core::UpdateRecord& record) {
+    requires(const P& pass, typename P::State& state, typename P::State&& tmp) {
       { pass.make_state() } -> std::same_as<typename P::State>;
-      state.observe(record);
       state.merge(std::move(tmp));
       { std::as_const(state).report() };
-    };
+    } &&
+    (ObservesTransitions<typename P::State> ||
+     requires(typename P::State& state, const core::UpdateRecord& record) {
+       state.observe(record);
+     });
 
 /// The report type a pass projects to.
 template <Pass P>
@@ -90,7 +105,10 @@ namespace detail {
 class AnyState {
  public:
   virtual ~AnyState() = default;
-  virtual void observe(const core::UpdateRecord& record) = 0;
+  /// Folds one record in; `transition` is used only by passes observing
+  /// transitions.
+  virtual void observe(const core::UpdateRecord& record,
+                       const core::Transition& transition) = 0;
   /// `other` must wrap the same State type (guaranteed by construction:
   /// the driver only merges states minted by one pass slot).
   virtual void merge(AnyState&& other) = 0;
@@ -121,8 +139,13 @@ template <Pass P>
 class StateModel final : public AnyState {
  public:
   explicit StateModel(typename P::State&& state) : state_(std::move(state)) {}
-  void observe(const core::UpdateRecord& record) override {
-    state_.observe(record);
+  void observe(const core::UpdateRecord& record,
+               [[maybe_unused]] const core::Transition& transition) override {
+    if constexpr (ObservesTransitions<typename P::State>) {
+      state_.observe(record, transition);
+    } else {
+      state_.observe(record);
+    }
   }
   void merge(AnyState&& other) override {
     state_.merge(std::move(static_cast<StateModel&>(other).state_));

@@ -11,16 +11,9 @@ namespace bgpcc::analytics {
 // ---------------------------------------------------------------------------
 // PerSessionTypesPass
 
-void PerSessionTypesPass::State::observe(const core::UpdateRecord& record) {
-  if (only_prefix_ && record.prefix != *only_prefix_) return;
-  classifiers_[record.session].classify(record);
-}
-
 void PerSessionTypesPass::State::merge(State&& other) {
-  for (auto& [session, classifier] : other.classifiers_) {
-    auto [it, inserted] =
-        classifiers_.try_emplace(session, std::move(classifier));
-    if (!inserted) it->second.merge(std::move(classifier));
+  for (const auto& [session, counts] : other.tallies_) {
+    tallies_[session] += counts;
   }
 }
 
@@ -96,48 +89,25 @@ CommunityStatsPass::Report CommunityStatsPass::State::report() const {
 // ---------------------------------------------------------------------------
 // DuplicateBurstPass
 
-void DuplicateBurstPass::State::observe(const core::UpdateRecord& record) {
-  // Withdrawals neither reset comparison state nor break a run — same
-  // convention as the classifier, whose nn definition this mirrors.
-  if (!record.announcement) return;
-  auto key = std::make_pair(record.session, record.prefix);
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    streams_.emplace(std::move(key),
-                     StreamState{record.attrs.as_path,
-                                 record.attrs.communities, 0});
-    return;
-  }
-  StreamState& stream = it->second;
+void DuplicateBurstPass::State::observe(const core::UpdateRecord& record,
+                                        const core::Transition& transition) {
+  if (!transition.type) return;  // nothing to duplicate
   Tally& tally = tallies_[record.session];
   ++tally.classified;
-  bool duplicate = stream.path == record.attrs.as_path &&
-                   stream.communities == record.attrs.communities;
-  if (duplicate) {
+  if (transition.type == core::AnnouncementType::kNn) {
     ++tally.nn;
-    ++stream.run;
-    if (stream.run == options_.min_run) ++tally.bursts;
-    tally.longest_run = std::max(tally.longest_run, stream.run);
-  } else {
-    stream.run = 0;
-    stream.path = record.attrs.as_path;
-    stream.communities = record.attrs.communities;
+    if (transition.nn_run == options_.min_run) ++tally.bursts;
+    tally.longest_run = std::max(tally.longest_run, transition.nn_run);
   }
 }
 
 void DuplicateBurstPass::State::merge(State&& other) {
-  // Streams and sessions are disjoint across shard states (each session
-  // lives in one shard); map::merge keeps ours on a contract violation.
-  streams_.merge(std::move(other.streams_));
-  for (auto& [session, tally] : other.tallies_) {
-    auto [it, inserted] = tallies_.try_emplace(session, tally);
-    if (!inserted) {
-      it->second.classified += tally.classified;
-      it->second.nn += tally.nn;
-      it->second.bursts += tally.bursts;
-      it->second.longest_run =
-          std::max(it->second.longest_run, tally.longest_run);
-    }
+  for (const auto& [session, tally] : other.tallies_) {
+    Tally& into = tallies_[session];
+    into.classified += tally.classified;
+    into.nn += tally.nn;
+    into.bursts += tally.bursts;
+    into.longest_run = std::max(into.longest_run, tally.longest_run);
   }
 }
 
@@ -169,23 +139,22 @@ void AnomalyPass::validate_options(const core::AnomalyOptions& options) {
   }
 }
 
-void AnomalyPass::State::observe(const core::UpdateRecord& record) {
-  classifiers_[record.session].classify(record);
+void AnomalyPass::State::observe(const core::UpdateRecord& record,
+                                 const core::Transition& transition) {
+  tallies_[record.session].add(transition);
   core::accumulate_novelty(record, options_.novelty_window, novelty_);
 }
 
 void AnomalyPass::State::merge(State&& other) {
-  for (auto& [session, classifier] : other.classifiers_) {
-    auto [it, inserted] =
-        classifiers_.try_emplace(session, std::move(classifier));
-    if (!inserted) it->second.merge(std::move(classifier));
+  for (const auto& [session, counts] : other.tallies_) {
+    tallies_[session] += counts;
   }
   core::merge_novelty(novelty_, std::move(other.novelty_));
 }
 
 AnomalyPass::Report AnomalyPass::State::report() const {
   core::AnomalyReport report;
-  core::score_duplicate_outliers(classifiers_, options_, report);
+  core::score_duplicate_outliers(tallies_, options_, report);
   report.novelty_bursts = core::finalize_novelty_bursts(novelty_, options_);
   return report;
 }

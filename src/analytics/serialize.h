@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/classifier.h"
 #include "core/ingest.h"
 
 namespace bgpcc::analytics::serialize {
@@ -40,9 +41,11 @@ inline constexpr std::uint32_t kMagic = 0x42475043;
 ///
 /// v2: kIngestCursor gained an explicit resolved-shard-count field (the
 /// carry's shape used to be implicitly machine-dependent under
-/// num_threads = 0). v1 blocks are rejected — checkpoints are transient
+/// num_threads = 0). v3: tags 1, 2, 5, 6 carry tallies only, the §5
+/// stream cursors travel once per shard in kCheckpoint, and tag 8 sorts
+/// its events. Older blocks are rejected — checkpoints are transient
 /// crash/resume state, not long-lived archives.
-inline constexpr std::uint16_t kFormatVersion = 2;
+inline constexpr std::uint16_t kFormatVersion = 3;
 
 /// What a serialized block contains (the byte after magic + version).
 enum class BlockKind : std::uint8_t {
@@ -153,6 +156,13 @@ void read_block_header(Reader& r, BlockKind expected);
 /// state payload. `bgpcc-merge` uses this to reconstruct a matching
 /// driver before re-reading the file for real.
 [[nodiscard]] std::vector<PassTag> read_state_tags(std::istream& in);
+
+/// Serializes a shard's §5 stream-cursor table (kCheckpoint).
+void write_stream_cursors(Writer& w, const core::Classifier& cursors);
+
+/// Decodes a stream-cursor table; throws DecodeError on truncation or
+/// corruption.
+[[nodiscard]] core::Classifier read_stream_cursors(Reader& r);
 
 /// Serializes a resumable ingestion snapshot as a kIngestCursor block.
 void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state);

@@ -91,13 +91,12 @@ std::vector<NoveltyBurst> finalize_novelty_bursts(
   return bursts;
 }
 
-void score_duplicate_outliers(
-    const std::map<SessionKey, Classifier>& classifiers,
-    const AnomalyOptions& options, AnomalyReport& report) {
+void score_duplicate_outliers(const std::map<SessionKey, TypeCounts>& tallies,
+                              const AnomalyOptions& options,
+                              AnomalyReport& report) {
   std::vector<DuplicateOutlier> sessions;
   double sum = 0.0;
-  for (const auto& [key, classifier] : classifiers) {
-    const TypeCounts& counts = classifier.counts();
+  for (const auto& [key, counts] : tallies) {
     if (counts.total() < options.min_classified) continue;
     DuplicateOutlier entry;
     entry.session = key;
@@ -160,14 +159,15 @@ AnomalyReport detect_anomalies(const UpdateStream& stream,
     // just as loudly as a populated one.
     throw ConfigError("AnomalyOptions::novelty_window must be positive");
   }
-  std::map<SessionKey, Classifier> classifiers;
+  Classifier classifier;
+  std::map<SessionKey, TypeCounts> tallies;
   NoveltyEvidence novelties;
   for (const UpdateRecord& record : stream.records()) {
-    classifiers[record.session].classify(record);
+    tallies[record.session].add(classifier.classify(record));
     accumulate_novelty(record, options.novelty_window, novelties);
   }
   AnomalyReport report;
-  score_duplicate_outliers(classifiers, options, report);
+  score_duplicate_outliers(tallies, options, report);
   report.novelty_bursts = finalize_novelty_bursts(novelties, options);
   return report;
 }

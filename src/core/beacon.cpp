@@ -235,7 +235,7 @@ RouteSeries route_series(const UpdateStream& stream, const SessionKey& session,
       classifier.classify(record);
       continue;
     }
-    auto type = classifier.classify(record);
+    auto type = classifier.classify(record).type;
     if (only_path && record.attrs.as_path != *only_path) continue;
     if (!type) continue;  // first sighting: untyped, not plotted
     series.announcements.push_back(SeriesPoint{

@@ -42,59 +42,44 @@ TypeCounts& TypeCounts::operator+=(const TypeCounts& other) {
   return *this;
 }
 
-std::optional<AnnouncementType> Classifier::classify(
-    const UpdateRecord& record) {
-  if (!record.announcement) {
-    ++counts_.withdrawals;
-    return std::nullopt;
+void TypeCounts::add(const Transition& transition) {
+  if (!transition.type) {
+    ++(transition.first_sighting ? first_sightings : withdrawals);
+    return;
   }
-  auto key = std::make_pair(record.session, record.prefix);
-  auto it = last_.find(key);
-  if (it == last_.end()) {
-    ++counts_.first_sightings;
-    last_.emplace(std::move(key),
-                  StreamState{record.attrs.as_path, record.attrs.communities,
-                              record.attrs.med});
-    return std::nullopt;
+  add(*transition.type);
+  if (transition.type == AnnouncementType::kNn && transition.med_changed) {
+    ++nn_with_med_change;
   }
+}
 
+Transition Classifier::classify(const UpdateRecord& record) {
+  Transition out;
+  if (!record.announcement) return out;
+  auto [it, first] = last_[record.session].try_emplace(record.prefix);
   StreamState& prev = it->second;
-  bool path_changed = prev.as_path != record.attrs.as_path;
-  bool comm_changed = prev.communities != record.attrs.communities;
-  bool prepend_only =
-      path_changed &&
-      record.attrs.as_path.prepending_only_change_from(prev.as_path);
-  bool med_changed = prev.med != record.attrs.med;
-
-  AnnouncementType type;
-  if (!path_changed) {
-    type = comm_changed ? AnnouncementType::kNc : AnnouncementType::kNn;
-    if (type == AnnouncementType::kNn && med_changed) {
-      ++counts_.nn_with_med_change;
+  out.first_sighting = first;
+  if (!first) {
+    bool path_changed = prev.as_path != record.attrs.as_path;
+    bool comm_changed = prev.communities != record.attrs.communities;
+    bool prepend_only =
+        path_changed &&
+        record.attrs.as_path.prepending_only_change_from(prev.as_path);
+    out.med_changed = prev.med != record.attrs.med;
+    if (!path_changed) {
+      out.type = comm_changed ? AnnouncementType::kNc : AnnouncementType::kNn;
+    } else if (prepend_only) {
+      out.type = comm_changed ? AnnouncementType::kXc : AnnouncementType::kXn;
+    } else {
+      out.type = comm_changed ? AnnouncementType::kPc : AnnouncementType::kPn;
     }
-  } else if (prepend_only) {
-    type = comm_changed ? AnnouncementType::kXc : AnnouncementType::kXn;
-  } else {
-    type = comm_changed ? AnnouncementType::kPc : AnnouncementType::kPn;
+    out.nn_run = out.type == AnnouncementType::kNn ? prev.nn_run + 1 : 0;
   }
-  counts_.add(type);
-
   prev.as_path = record.attrs.as_path;
   prev.communities = record.attrs.communities;
   prev.med = record.attrs.med;
-  return type;
-}
-
-void Classifier::restore(StreamStates streams, TypeCounts counts) {
-  last_ = std::move(streams);
-  counts_ = counts;
-}
-
-void Classifier::merge(Classifier&& other) {
-  counts_ += other.counts_;
-  // std::map::merge keeps the existing element on key collision — the
-  // deterministic "this classifier wins" rule the header documents.
-  last_.merge(std::move(other.last_));
+  prev.nn_run = out.nn_run;
+  return out;
 }
 
 TypeCounts classify_stream(
@@ -102,30 +87,30 @@ TypeCounts classify_stream(
     const std::function<void(const UpdateRecord&,
                              std::optional<AnnouncementType>)>& callback) {
   Classifier classifier;
+  TypeCounts counts;
   for (const UpdateRecord& record : stream.records()) {
-    auto type = classifier.classify(record);
-    if (callback) callback(record, type);
+    Transition transition = classifier.classify(record);
+    counts.add(transition);
+    if (callback) callback(record, transition.type);
   }
-  return classifier.counts();
+  return counts;
 }
 
 std::vector<std::pair<SessionKey, TypeCounts>> per_session_types(
     const UpdateStream& stream, const std::optional<Prefix>& only_prefix) {
-  std::map<SessionKey, Classifier> classifiers;
+  Classifier classifier;
+  std::map<SessionKey, TypeCounts> tallies;
   for (const UpdateRecord& record : stream.records()) {
     if (only_prefix && record.prefix != *only_prefix) continue;
-    classifiers[record.session].classify(record);
+    tallies[record.session].add(classifier.classify(record));
   }
-  return rank_session_types(classifiers);
+  return rank_session_types(tallies);
 }
 
 std::vector<std::pair<SessionKey, TypeCounts>> rank_session_types(
-    const std::map<SessionKey, Classifier>& classifiers) {
-  std::vector<std::pair<SessionKey, TypeCounts>> out;
-  out.reserve(classifiers.size());
-  for (const auto& [key, classifier] : classifiers) {
-    out.emplace_back(key, classifier.counts());
-  }
+    const std::map<SessionKey, TypeCounts>& tallies) {
+  std::vector<std::pair<SessionKey, TypeCounts>> out(tallies.begin(),
+                                                      tallies.end());
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.second.total() > b.second.total();
   });

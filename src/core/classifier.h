@@ -42,6 +42,21 @@ inline constexpr std::array<AnnouncementType, 6> kAllAnnouncementTypes = {
 /// Two-letter label as used in the paper ("pc", "nn", ...).
 [[nodiscard]] const char* label(AnnouncementType type);
 
+/// What Classifier::classify learned about one record on its
+/// (session, prefix) stream: a withdrawal, a first sighting, or a type.
+struct Transition {
+  /// The §5 type; nullopt for withdrawals and first sightings.
+  std::optional<AnnouncementType> type;
+  /// An announcement that opened its stream (no predecessor).
+  bool first_sighting = false;
+  /// Typed announcements: the MED differs from the predecessor's.
+  bool med_changed = false;
+  /// Consecutive nn announcements ending with this one (1 for the first
+  /// nn after another type), else 0. Withdrawals do not break a run.
+  std::uint64_t nn_run = 0;
+  friend bool operator==(const Transition&, const Transition&) = default;
+};
+
 /// Per-type tallies plus the bookkeeping categories the shares exclude.
 struct TypeCounts {
   std::array<std::uint64_t, 6> counts{};
@@ -56,6 +71,8 @@ struct TypeCounts {
   void add(AnnouncementType type) {
     ++counts[static_cast<std::size_t>(type)];
   }
+  /// Tallies one classified record.
+  void add(const Transition& transition);
   [[nodiscard]] std::uint64_t count(AnnouncementType type) const {
     return counts[static_cast<std::size_t>(type)];
   }
@@ -68,50 +85,35 @@ struct TypeCounts {
   friend bool operator==(const TypeCounts&, const TypeCounts&) = default;
 };
 
-/// Streaming classifier; feed records in chronological order per session.
+/// The §5 stream-cursor table: the last announcement's attributes on
+/// every (session, prefix) stream. Feed records in chronological order
+/// per session. analytics::AnalysisDriver keeps one table per shard.
 class Classifier {
  public:
-  /// The per-stream comparison cursor: the attributes of the last
-  /// announcement seen on one (session, prefix) stream. Public so the
-  /// checkpoint codec (analytics/serialize.h) can persist a classifier
-  /// mid-stream and resume with byte-identical classifications.
+  /// The per-stream comparison cursor; public so the checkpoint codec
+  /// (analytics/serialize.h) can persist and resume a table mid-stream.
   struct StreamState {
     AsPath as_path;
     CommunitySet communities;
     std::optional<std::uint32_t> med;
+    std::uint64_t nn_run = 0;  // Transition::nn_run of the last announcement
   };
-  /// Stream cursors keyed by (session, prefix).
-  using StreamStates = std::map<std::pair<SessionKey, Prefix>, StreamState>;
+  /// Stream cursors keyed by session, then prefix: a lookup walks one
+  /// session's small map instead of every stream in the table.
+  using StreamStates = std::map<SessionKey, std::map<Prefix, StreamState>>;
 
-  /// Classifies an announcement against the stream's previous one.
-  /// Returns nullopt for withdrawals (tallied) and first sightings.
-  std::optional<AnnouncementType> classify(const UpdateRecord& record);
+  /// An empty table, or one resumed from saved cursors (checkpoint).
+  explicit Classifier(StreamStates streams = {}) : last_(std::move(streams)) {}
 
-  [[nodiscard]] const TypeCounts& counts() const { return counts_; }
-
-  /// Number of distinct (session, prefix) streams seen.
-  [[nodiscard]] std::size_t stream_count() const { return last_.size(); }
+  /// Compares a record with its stream's cursor and advances the cursor
+  /// (withdrawals leave it untouched).
+  Transition classify(const UpdateRecord& record);
 
   /// The live per-stream comparison cursors (checkpoint serialization).
   [[nodiscard]] const StreamStates& stream_states() const { return last_; }
 
-  /// Replaces the whole classifier state — the checkpoint/restore hook.
-  /// The restored classifier continues exactly where the saved one
-  /// stopped: same tallies, same per-stream comparison cursors.
-  void restore(StreamStates streams, TypeCounts counts);
-
-  /// Absorbs another classifier: tallies are summed and per-stream states
-  /// united — the associative merge of shard-parallel classification
-  /// (analytics/passes.h), where the SessionKey-hash sharding guarantees
-  /// each (session, prefix) stream was observed by exactly ONE
-  /// classifier. For streams present in both (a contract violation), this
-  /// classifier's state wins deterministically, but the summed tallies
-  /// have double-counted that stream's first sighting.
-  void merge(Classifier&& other);
-
  private:
   StreamStates last_;
-  TypeCounts counts_;
 };
 
 /// Classifies a whole (time-sorted) stream. The optional callback sees
@@ -128,12 +130,12 @@ TypeCounts classify_stream(
     const UpdateStream& stream,
     const std::optional<Prefix>& only_prefix = std::nullopt);
 
-/// Projects per-session classifiers into the Figure-3 ranking (sorted by
+/// Projects per-session tallies into the Figure-3 ranking (sorted by
 /// classified announcement count, descending). The shared projection of
 /// per_session_types and analytics::PerSessionTypesPass — one sort, so
 /// the two paths cannot drift apart on tie handling.
 [[nodiscard]] std::vector<std::pair<SessionKey, TypeCounts>>
-rank_session_types(const std::map<SessionKey, Classifier>& classifiers);
+rank_session_types(const std::map<SessionKey, TypeCounts>& tallies);
 
 // ---------------------------------------------------------------------------
 // Per-AS community usage classification, following Krenc et al.,

@@ -405,10 +405,10 @@ MacroStats MacroGen::generate_day(
 MacroGen::DayResult MacroGen::classify_day() {
   DayResult result;
   core::Classifier classifier;
-  result.stats = generate_day([&classifier](const core::UpdateRecord& record) {
-    classifier.classify(record);
-  });
-  result.types = classifier.counts();
+  result.stats =
+      generate_day([&classifier, &result](const core::UpdateRecord& record) {
+        result.types.add(classifier.classify(record));
+      });
   return result;
 }
 

@@ -311,13 +311,16 @@ TEST(AnalyticsPasses, ManualMergeEqualsSingleState) {
   const std::vector<UpdateRecord>& records = result.stream.records();
   ASSERT_GT(records.size(), 10u);
 
+  // DuplicateBurstPass observes transitions: each state is fed from the
+  // stream-cursor table of its partition, as the driver does per shard.
   CommunityStatsPass stats_pass;
   DuplicateBurstPass dup_pass;
   auto whole_stats = stats_pass.make_state();
   auto whole_dup = dup_pass.make_state();
+  core::Classifier whole_cursors;
   for (const UpdateRecord& record : records) {
     whole_stats.observe(record);
-    whole_dup.observe(record);
+    whole_dup.observe(record, whole_cursors.classify(record));
   }
 
   // Split by SESSION (the sharding unit — splitting one session's stream
@@ -326,13 +329,15 @@ TEST(AnalyticsPasses, ManualMergeEqualsSingleState) {
   auto part_b_stats = stats_pass.make_state();
   auto part_a_dup = dup_pass.make_state();
   auto part_b_dup = dup_pass.make_state();
+  core::Classifier part_a_cursors;
+  core::Classifier part_b_cursors;
   for (const UpdateRecord& record : records) {
     if (record.session.hash() % 2 == 0) {
       part_a_stats.observe(record);
-      part_a_dup.observe(record);
+      part_a_dup.observe(record, part_a_cursors.classify(record));
     } else {
       part_b_stats.observe(record);
-      part_b_dup.observe(record);
+      part_b_dup.observe(record, part_b_cursors.classify(record));
     }
   }
   part_a_stats.merge(std::move(part_b_stats));

@@ -218,12 +218,15 @@ TEST(AnomalyBeaconPasses, ManualMergeEqualsSingleState) {
   const std::vector<UpdateRecord>& records = result.stream.records();
   ASSERT_GT(records.size(), 10u);
 
+  // AnomalyPass observes transitions: each state is fed from the
+  // stream-cursor table of its partition, as the driver does per shard.
   AnomalyPass anomaly_pass{test_anomaly_options()};
   ExplorationPass exploration_pass{test_schedule()};
   auto whole_anomaly = anomaly_pass.make_state();
   auto whole_exploration = exploration_pass.make_state();
+  core::Classifier whole_cursors;
   for (const UpdateRecord& record : records) {
-    whole_anomaly.observe(record);
+    whole_anomaly.observe(record, whole_cursors.classify(record));
     whole_exploration.observe(record);
   }
 
@@ -233,12 +236,14 @@ TEST(AnomalyBeaconPasses, ManualMergeEqualsSingleState) {
   auto part_b_anomaly = anomaly_pass.make_state();
   auto part_a_exploration = exploration_pass.make_state();
   auto part_b_exploration = exploration_pass.make_state();
+  core::Classifier part_a_cursors;
+  core::Classifier part_b_cursors;
   for (const UpdateRecord& record : records) {
     if (record.session.hash() % 2 == 0) {
-      part_a_anomaly.observe(record);
+      part_a_anomaly.observe(record, part_a_cursors.classify(record));
       part_a_exploration.observe(record);
     } else {
-      part_b_anomaly.observe(record);
+      part_b_anomaly.observe(record, part_b_cursors.classify(record));
       part_b_exploration.observe(record);
     }
   }

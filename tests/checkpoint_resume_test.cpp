@@ -3,7 +3,9 @@
 // interrupt a windowed analysis run after window K, serialize driver +
 // ingest cursor, rebuild both in a "new process" (fresh objects, fresh
 // input streams), resume, and require the final reports of every
-// shipped pass to be IDENTICAL to the uninterrupted run — for every K.
+// shipped pass to be IDENTICAL to the uninterrupted run — for every K,
+// with all nine passes, with each §5 type-counting pass alone, and with
+// none of them (a driver that keeps no stream-cursor table).
 //
 // Also pins the documented non-goals and misuse errors: the resumed
 // finish() stream contains only post-checkpoint windows (RunStore spill
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -40,54 +43,109 @@ using core::StreamingIngestor;
 using core::archgen::allocated_registry;
 using core::archgen::ArchiveGenerator;
 
-struct Handles {
-  PassHandle<ClassifierPass> types;
-  PassHandle<PerSessionTypesPass> per_session;
-  PassHandle<TomographyPass> tomography;
-  PassHandle<CommunityStatsPass> communities;
-  PassHandle<DuplicateBurstPass> duplicates;
-  PassHandle<AnomalyPass> anomaly;
-  PassHandle<RevealedPass> revealed;
-  PassHandle<ExplorationPass> exploration;
-  PassHandle<UsageClassificationPass> usage;
+/// Which passes a run registers: all nine, one §5 type-counting pass
+/// alone (the driver classifies against its cursor table for that pass
+/// only), or the five passes that observe no transitions (the driver
+/// keeps no cursor table at all).
+enum class PassSet {
+  kAll,
+  kClassifier,
+  kPerSessionTypes,
+  kDuplicateBurst,
+  kAnomaly,
+  kNoStreamPasses,
 };
 
+const char* name(PassSet set) {
+  switch (set) {
+    case PassSet::kAll:
+      return "all";
+    case PassSet::kClassifier:
+      return "classifier";
+    case PassSet::kPerSessionTypes:
+      return "per_session_types";
+    case PassSet::kDuplicateBurst:
+      return "duplicate_burst";
+    case PassSet::kAnomaly:
+      return "anomaly";
+    case PassSet::kNoStreamPasses:
+      return "no_stream_passes";
+  }
+  return "?";
+}
+
+struct Handles {
+  std::optional<PassHandle<ClassifierPass>> types;
+  std::optional<PassHandle<PerSessionTypesPass>> per_session;
+  std::optional<PassHandle<TomographyPass>> tomography;
+  std::optional<PassHandle<CommunityStatsPass>> communities;
+  std::optional<PassHandle<DuplicateBurstPass>> duplicates;
+  std::optional<PassHandle<AnomalyPass>> anomaly;
+  std::optional<PassHandle<RevealedPass>> revealed;
+  std::optional<PassHandle<ExplorationPass>> exploration;
+  std::optional<PassHandle<UsageClassificationPass>> usage;
+};
+
+/// Registers `set` in the nine-pass registration order.
+Handles add_passes(AnalysisDriver& driver, PassSet set) {
+  const bool all = set == PassSet::kAll;
+  const bool plain = all || set == PassSet::kNoStreamPasses;
+  Handles h;
+  if (all || set == PassSet::kClassifier) {
+    h.types = driver.add(ClassifierPass{});
+  }
+  if (all || set == PassSet::kPerSessionTypes) {
+    h.per_session = driver.add(PerSessionTypesPass{});
+  }
+  if (plain) h.tomography = driver.add(TomographyPass{});
+  if (plain) h.communities = driver.add(CommunityStatsPass{});
+  if (all || set == PassSet::kDuplicateBurst) {
+    h.duplicates = driver.add(DuplicateBurstPass{});
+  }
+  if (all || set == PassSet::kAnomaly) h.anomaly = driver.add(AnomalyPass{});
+  if (plain) h.revealed = driver.add(RevealedPass{});
+  if (plain) h.exploration = driver.add(ExplorationPass{});
+  if (plain) h.usage = driver.add(UsageClassificationPass{});
+  return h;
+}
+
 Handles add_all_passes(AnalysisDriver& driver) {
-  return Handles{driver.add(ClassifierPass{}),
-                 driver.add(PerSessionTypesPass{}),
-                 driver.add(TomographyPass{}),
-                 driver.add(CommunityStatsPass{}),
-                 driver.add(DuplicateBurstPass{}),
-                 driver.add(AnomalyPass{}),
-                 driver.add(RevealedPass{}),
-                 driver.add(ExplorationPass{}),
-                 driver.add(UsageClassificationPass{})};
+  return add_passes(driver, PassSet::kAll);
 }
 
 struct AllReports {
-  ClassifierPass::Report types;
-  PerSessionTypesPass::Report per_session;
-  TomographyPass::Report tomography;
-  CommunityStatsPass::Report communities;
-  DuplicateBurstPass::Report duplicates;
-  AnomalyPass::Report anomaly;
-  RevealedPass::Report revealed;
-  ExplorationPass::Report exploration;
-  UsageClassificationPass::Report usage;
+  std::optional<ClassifierPass::Report> types;
+  std::optional<PerSessionTypesPass::Report> per_session;
+  std::optional<TomographyPass::Report> tomography;
+  std::optional<CommunityStatsPass::Report> communities;
+  std::optional<DuplicateBurstPass::Report> duplicates;
+  std::optional<AnomalyPass::Report> anomaly;
+  std::optional<RevealedPass::Report> revealed;
+  std::optional<ExplorationPass::Report> exploration;
+  std::optional<UsageClassificationPass::Report> usage;
 
   friend bool operator==(const AllReports&, const AllReports&) = default;
 };
 
+template <typename P>
+void collect_one(AnalysisDriver& driver,
+                 const std::optional<PassHandle<P>>& handle,
+                 std::optional<ReportOf<P>>& out) {
+  if (handle) out = driver.report(*handle);
+}
+
 AllReports collect(AnalysisDriver& driver, const Handles& handles) {
-  return AllReports{driver.report(handles.types),
-                    driver.report(handles.per_session),
-                    driver.report(handles.tomography),
-                    driver.report(handles.communities),
-                    driver.report(handles.duplicates),
-                    driver.report(handles.anomaly),
-                    driver.report(handles.revealed),
-                    driver.report(handles.exploration),
-                    driver.report(handles.usage)};
+  AllReports out;
+  collect_one(driver, handles.types, out.types);
+  collect_one(driver, handles.per_session, out.per_session);
+  collect_one(driver, handles.tomography, out.tomography);
+  collect_one(driver, handles.communities, out.communities);
+  collect_one(driver, handles.duplicates, out.duplicates);
+  collect_one(driver, handles.anomaly, out.anomaly);
+  collect_one(driver, handles.revealed, out.revealed);
+  collect_one(driver, handles.exploration, out.exploration);
+  collect_one(driver, handles.usage, out.usage);
+  return out;
 }
 
 /// The shared two-collector fixture: sessions on two archives, windowed
@@ -125,9 +183,9 @@ struct Fixture {
     std::unique_ptr<StreamingIngestor> engine;
   };
 
-  [[nodiscard]] std::unique_ptr<Run> start() const {
+  [[nodiscard]] std::unique_ptr<Run> start(PassSet set = PassSet::kAll) const {
     auto run = std::make_unique<Run>();
-    run->handles = add_all_passes(run->driver);
+    run->handles = add_passes(run->driver, set);
     run->opt = options();
     run->driver.attach(run->opt);
     run->engine = std::make_unique<StreamingIngestor>(run->opt);
@@ -142,39 +200,50 @@ struct Fixture {
 TEST(CheckpointResume, EveryInterruptionPointResumesExactly) {
   Fixture fixture;
 
-  // Uninterrupted reference (and the window count for the K sweep).
-  auto reference = fixture.start();
-  std::size_t windows = 0;
-  while (reference->engine->poll()) ++windows;
-  IngestResult ref_result = reference->engine->finish();
-  ASSERT_GT(ref_result.stream.size(), 0u);
-  ASSERT_GT(windows, 3u) << "fixture too small to exercise resume";
-  AllReports expected = collect(reference->driver, reference->handles);
-  ASSERT_GT(expected.types.counts.total(), 0u);
-  ASSERT_GT(expected.revealed.total_unique, 0u);
-
-  for (std::size_t k = 1; k < windows; ++k) {
-    // "Process one": run K windows, checkpoint, drop everything.
-    std::ostringstream checkpoint;
-    {
-      auto run = fixture.start();
-      for (std::size_t w = 0; w < k; ++w) {
-        ASSERT_TRUE(run->engine->poll()) << "k=" << k;
-      }
-      run->driver.checkpoint(checkpoint, *run->engine);
+  for (PassSet set : {PassSet::kAll, PassSet::kClassifier,
+                      PassSet::kPerSessionTypes, PassSet::kDuplicateBurst,
+                      PassSet::kAnomaly, PassSet::kNoStreamPasses}) {
+    SCOPED_TRACE(name(set));
+    // Uninterrupted reference (and the window count for the K sweep).
+    auto reference = fixture.start(set);
+    std::size_t windows = 0;
+    while (reference->engine->poll()) ++windows;
+    IngestResult ref_result = reference->engine->finish();
+    ASSERT_GT(ref_result.stream.size(), 0u);
+    ASSERT_GT(windows, 3u) << "fixture too small to exercise resume";
+    AllReports expected = collect(reference->driver, reference->handles);
+    if (expected.types) {
+      ASSERT_GT(expected.types->counts.total(), 0u);
+    }
+    if (expected.revealed) {
+      ASSERT_GT(expected.revealed->total_unique, 0u);
     }
 
-    // "Process two": fresh everything, restore, resume to completion.
-    auto resumed = fixture.start();
-    std::istringstream checkpoint_in(checkpoint.str());
-    resumed->driver.restore(checkpoint_in, *resumed->engine);
-    IngestResult result = resumed->engine->finish();
-    // The resumed stream holds only post-checkpoint windows (the
-    // original process owns the earlier runs); the REPORTS are complete
-    // because the driver states cover every pre-checkpoint record.
-    EXPECT_LT(result.stream.size(), ref_result.stream.size()) << "k=" << k;
-    EXPECT_EQ(collect(resumed->driver, resumed->handles), expected)
-        << "k=" << k;
+    for (std::size_t k = 1; k < windows; ++k) {
+      // "Process one": run K windows, checkpoint, drop everything.
+      std::ostringstream checkpoint;
+      {
+        auto run = fixture.start(set);
+        for (std::size_t w = 0; w < k; ++w) {
+          ASSERT_TRUE(run->engine->poll()) << "k=" << k;
+        }
+        run->driver.checkpoint(checkpoint, *run->engine);
+      }
+
+      // "Process two": fresh everything, restore, resume to completion.
+      auto resumed = fixture.start(set);
+      std::istringstream checkpoint_in(checkpoint.str());
+      resumed->driver.restore(checkpoint_in, *resumed->engine);
+      IngestResult result = resumed->engine->finish();
+      // The resumed stream holds only post-checkpoint windows (the
+      // original process owns the earlier runs); the REPORTS are
+      // complete because the driver states cover every pre-checkpoint
+      // record.
+      EXPECT_LT(result.stream.size(), ref_result.stream.size())
+          << "k=" << k;
+      EXPECT_EQ(collect(resumed->driver, resumed->handles), expected)
+          << "k=" << k;
+    }
   }
 }
 
@@ -264,7 +333,7 @@ TEST(CheckpointResume, MisuseThrowsConfigError) {
   {
     auto run = fixture.start();
     (void)run->engine->finish();
-    (void)run->driver.report(run->handles.types);
+    (void)run->driver.report(*run->handles.types);
     std::ostringstream out;
     EXPECT_THROW(run->driver.checkpoint(out), ConfigError);
     std::istringstream in("x");

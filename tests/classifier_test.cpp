@@ -1,6 +1,8 @@
 // Unit tests: the §5 announcement-type classifier.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/classifier.h"
 
 namespace bgpcc::core {
@@ -34,15 +36,36 @@ UpdateRecord make_record(const std::string& path, const std::string& comms,
   return r;
 }
 
+/// A cursor table plus the tallies of every transition it produced — how
+/// the one-shot wrappers (classify_stream) use a Classifier.
+struct TallyingClassifier {
+  Classifier cursors;
+  TypeCounts tallies;
+
+  std::optional<AnnouncementType> classify(const UpdateRecord& record) {
+    Transition transition = cursors.classify(record);
+    tallies.add(transition);
+    return transition.type;
+  }
+  [[nodiscard]] const TypeCounts& counts() const { return tallies; }
+  [[nodiscard]] std::size_t stream_count() const {
+    std::size_t count = 0;
+    for (const auto& [session, streams] : cursors.stream_states()) {
+      count += streams.size();
+    }
+    return count;
+  }
+};
+
 TEST(Classifier, FirstSightingIsUntyped) {
-  Classifier c;
+  TallyingClassifier c;
   EXPECT_EQ(c.classify(make_record("100 200", "")), std::nullopt);
   EXPECT_EQ(c.counts().first_sightings, 1u);
   EXPECT_EQ(c.counts().total(), 0u);
 }
 
 TEST(Classifier, AllSixTypes) {
-  Classifier c;
+  TallyingClassifier c;
   c.classify(make_record("100 200", "100:1"));
   // pc: path and community change.
   EXPECT_EQ(c.classify(make_record("100 300", "100:2")),
@@ -71,7 +94,7 @@ TEST(Classifier, AllSixTypes) {
 TEST(Classifier, EmptyToEmptyCommunitiesIsNn) {
   // The paper: "nn announcements also include two empty community
   // attributes in succession".
-  Classifier c;
+  TallyingClassifier c;
   c.classify(make_record("100 200", ""));
   EXPECT_EQ(c.classify(make_record("100 200", "")), AnnouncementType::kNn);
 }
@@ -79,7 +102,7 @@ TEST(Classifier, EmptyToEmptyCommunitiesIsNn) {
 TEST(Classifier, WithdrawalDoesNotResetState) {
   // Figure 4: phases open with pc measured against the pre-withdrawal
   // announcement.
-  Classifier c;
+  TallyingClassifier c;
   c.classify(make_record("100 200", "100:1"));
   c.classify(make_record("", "", 1, /*announcement=*/false));
   EXPECT_EQ(c.counts().withdrawals, 1u);
@@ -88,7 +111,7 @@ TEST(Classifier, WithdrawalDoesNotResetState) {
 }
 
 TEST(Classifier, ReAnnouncementAfterWithdrawIdenticalIsNn) {
-  Classifier c;
+  TallyingClassifier c;
   c.classify(make_record("100 200", "100:1"));
   c.classify(make_record("", "", 1, false));
   EXPECT_EQ(c.classify(make_record("100 200", "100:1")),
@@ -96,7 +119,7 @@ TEST(Classifier, ReAnnouncementAfterWithdrawIdenticalIsNn) {
 }
 
 TEST(Classifier, StreamsAreIndependentPerSessionAndPrefix) {
-  Classifier c;
+  TallyingClassifier c;
   UpdateRecord a = make_record("100 200", "");
   UpdateRecord b = make_record("100 200", "");
   b.session.peer_asn = Asn(20811);
@@ -110,7 +133,7 @@ TEST(Classifier, StreamsAreIndependentPerSessionAndPrefix) {
 }
 
 TEST(Classifier, MedChangeTrackedWithinNn) {
-  Classifier c;
+  TallyingClassifier c;
   UpdateRecord first = make_record("100 200", "");
   first.attrs.med = 10;
   c.classify(first);
@@ -121,7 +144,7 @@ TEST(Classifier, MedChangeTrackedWithinNn) {
 }
 
 TEST(Classifier, SharesSumToOne) {
-  Classifier c;
+  TallyingClassifier c;
   c.classify(make_record("100 200", "100:1"));
   c.classify(make_record("100 300", "100:2"));
   c.classify(make_record("100 300", "100:3"));
@@ -131,6 +154,51 @@ TEST(Classifier, SharesSumToOne) {
     sum += c.counts().share(t);
   }
   EXPECT_DOUBLE_EQ(sum, 1.0);
+}
+
+TEST(Classifier, TransitionCarriesSightingMedAndNnRun) {
+  Classifier c;
+  Transition withdrawal = c.classify(make_record("", "", 0, false));
+  EXPECT_EQ(withdrawal, Transition{});
+
+  UpdateRecord first = make_record("100 200", "100:1");
+  first.attrs.med = 10;
+  Transition sighting = c.classify(first);
+  EXPECT_TRUE(sighting.first_sighting);
+  EXPECT_EQ(sighting.type, std::nullopt);
+  EXPECT_EQ(sighting.nn_run, 0u);
+
+  // Three duplicates: the run grows 1, 2, 3; the MED flag is per record.
+  UpdateRecord dup = first;
+  dup.attrs.med = 20;
+  Transition t1 = c.classify(dup);
+  EXPECT_EQ(t1.type, AnnouncementType::kNn);
+  EXPECT_TRUE(t1.med_changed);
+  EXPECT_EQ(t1.nn_run, 1u);
+  Transition t2 = c.classify(dup);
+  EXPECT_FALSE(t2.med_changed);
+  EXPECT_EQ(t2.nn_run, 2u);
+  // A withdrawal neither extends nor breaks the run.
+  (void)c.classify(make_record("", "", 1, false));
+  EXPECT_EQ(c.classify(dup).nn_run, 3u);
+
+  // Any other type resets it.
+  Transition change = c.classify(make_record("100 200", "100:2"));
+  EXPECT_EQ(change.type, AnnouncementType::kNc);
+  EXPECT_EQ(change.nn_run, 0u);
+  EXPECT_EQ(c.classify(make_record("100 200", "100:2")).nn_run, 1u);
+}
+
+TEST(Classifier, RestoredTableContinuesExactly) {
+  Classifier original;
+  (void)original.classify(make_record("100 200", "100:1"));
+  (void)original.classify(make_record("100 200", "100:1"));
+
+  Classifier restored(original.stream_states());
+  UpdateRecord next = make_record("100 200", "100:1");
+  Transition resumed = restored.classify(next);
+  EXPECT_EQ(resumed, original.classify(next));
+  EXPECT_EQ(resumed.nn_run, 2u);
 }
 
 TEST(TypeCounts, Accumulate) {

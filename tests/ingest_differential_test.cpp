@@ -22,6 +22,7 @@
 #include "core/stream.h"
 #include "mrt/mrt.h"
 #include "sim/collector.h"
+#include "test_dir.h"
 
 namespace bgpcc::core {
 namespace {
@@ -354,8 +355,9 @@ TEST(IngestDifferential, RotatedFilesMatchSingleArchive) {
                      update);
   }
 
-  std::string dir = ::testing::TempDir();
-  std::string single = dir + "/bgpcc_diff_single.mrt";
+  testing_support::TestDir scratch;
+  std::string dir = scratch.str();
+  std::string single = dir + "/single.mrt";
   collector.write_mrt(single, /*extended_time=*/false);
 
   IngestOptions options;
@@ -368,7 +370,7 @@ TEST(IngestDifferential, RotatedFilesMatchSingleArchive) {
   for (std::size_t k : {std::size_t{2}, std::size_t{5}}) {
     SCOPED_TRACE("k=" + std::to_string(k));
     std::vector<std::string> paths = collector.write_mrt_rotated(
-        dir + "/bgpcc_diff_rot" + std::to_string(k), k,
+        dir + "/rot" + std::to_string(k), k,
         /*extended_time=*/false);
     ASSERT_EQ(paths.size(), k);
     IngestResult result = ingest_mrt_files("rrc00", paths, options);

@@ -28,6 +28,7 @@
 #include "mrt/source.h"
 #include "netbase/error.h"
 #include "sim/collector.h"
+#include "test_dir.h"
 
 namespace bgpcc::core {
 namespace {
@@ -206,6 +207,7 @@ std::size_t spill_files_in(const std::string& dir) {
 // against the sequential batch reference — including cleaning reports,
 // so window-boundary session-state carry-over is provably exact.
 TEST(IngestStreaming, WindowThreadSpillEquivalence) {
+  testing_support::TestDir scratch;
   for (std::uint32_t seed : {3u, 21u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ArchiveGenerator gen(seed);
@@ -239,10 +241,10 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
             options.pipeline_windows = pipeline;
             std::string spill_dir;
             if (spill) {
-              spill_dir = ::testing::TempDir() + "/bgpcc_spill_" +
-                          std::to_string(seed) + "_" + std::to_string(window) +
-                          "_" + std::to_string(threads) + "_" +
-                          std::to_string(pipeline);
+              spill_dir = scratch.path(
+                  "spill_" + std::to_string(seed) + "_" +
+                  std::to_string(window) + "_" + std::to_string(threads) +
+                  "_" + std::to_string(pipeline));
               options.spill_dir = spill_dir;
             }
             IngestResult result = streaming_ingest(parts, options);
@@ -449,10 +451,10 @@ TEST(IngestStreaming, CompressedInputMatchesUncompressed) {
   }
 
   // Through the filesystem front-end, with mixed compression per source.
-  std::string dir = ::testing::TempDir();
-  std::string gz_path = dir + "/bgpcc_streaming_in.gz";
-  std::string bz2_path = dir + "/bgpcc_streaming_in.bz2";
-  std::string raw_path = dir + "/bgpcc_streaming_in.mrt";
+  testing_support::TestDir scratch;
+  std::string gz_path = scratch.path("in.gz");
+  std::string bz2_path = scratch.path("in.bz2");
+  std::string raw_path = scratch.path("in.mrt");
   std::vector<std::pair<std::string, std::string>> fixtures{
       {gz_path, gz}, {bz2_path, bz2}, {raw_path, archive}};
   for (const auto& [path, payload] : fixtures) {
@@ -502,8 +504,9 @@ TEST(IngestStreaming, CompressedRotatedArchivesWindowedSpilled) {
                      update);
   }
 
-  std::string dir = ::testing::TempDir();
-  std::string single = dir + "/bgpcc_streaming_single.mrt";
+  testing_support::TestDir scratch;
+  std::string dir = scratch.str();
+  std::string single = dir + "/single.mrt";
   collector.write_mrt(single, /*extended_time=*/false);
 
   CleaningOptions cleaning;  // timestamp repair only
@@ -517,7 +520,7 @@ TEST(IngestStreaming, CompressedRotatedArchivesWindowedSpilled) {
        {mrt::Compression::kGzip, mrt::Compression::kBzip2}) {
     SCOPED_TRACE(mrt::to_string(compression));
     std::vector<std::string> paths = collector.write_mrt_rotated(
-        dir + "/bgpcc_streaming_rot_" + mrt::to_string(compression), 4,
+        dir + "/rot_" + mrt::to_string(compression), 4,
         /*extended_time=*/false, compression);
     ASSERT_EQ(paths.size(), 4u);
     EXPECT_NE(paths[0].find(mrt::compression_suffix(compression)),
@@ -525,8 +528,7 @@ TEST(IngestStreaming, CompressedRotatedArchivesWindowedSpilled) {
 
     IngestOptions windowed = options;
     windowed.window_records = 32;
-    windowed.spill_dir = dir + "/bgpcc_streaming_spill_" +
-                         mrt::to_string(compression);
+    windowed.spill_dir = dir + "/spill_" + mrt::to_string(compression);
     StreamingIngestor engine(windowed);
     for (const std::string& path : paths) engine.add_file("rrc00", path);
     IngestResult result = engine.finish();
@@ -584,7 +586,8 @@ TEST(IngestStreaming, DualStackNextHopSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 8;
-  spilled.spill_dir = ::testing::TempDir() + "/bgpcc_dualstack_spill";
+  testing_support::TestDir scratch;
+  spilled.spill_dir = scratch.path("spill");
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
 }
@@ -647,7 +650,8 @@ TEST(IngestStreaming, OversizeLegacyPathSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 2;
-  spilled.spill_dir = ::testing::TempDir() + "/bgpcc_oversize_spill";
+  testing_support::TestDir scratch;
+  spilled.spill_dir = scratch.path("spill");
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
 }
@@ -664,8 +668,8 @@ TEST(IngestStreaming, SpillFailureLeavesDirClean) {
   std::string archive;
   for (const std::string& record : records) archive += record;
 
-  std::string spill_dir = ::testing::TempDir() + "/bgpcc_spill_failure";
-  std::filesystem::create_directories(spill_dir);
+  testing_support::TestDir scratch;
+  std::string spill_dir = scratch.str();
   IngestOptions options;
   options.num_threads = 2;
   options.chunk_records = 4;
@@ -733,7 +737,11 @@ TEST(IngestStreaming, ThrowingObserverShortCircuitsShardJobs) {
 
   // Every observer call throws, so each participating thread stops after
   // its first claimed non-empty shard: with num_threads=2 at most two
-  // calls happen before the group fails and the rest are skipped.
+  // calls happen before the group fails and the rest are skipped. The
+  // bound holds under any interleaving: the shard fan-out runs exactly
+  // two claim loops (the caller plus the pool's one worker), each loop
+  // ends at its first observer call, and a loop task that a waiting
+  // thread pops after the failure is skipped without running.
   std::atomic<std::size_t> throwing_calls{0};
   IngestOptions throwing = options;
   throwing.shard_observer = [&throwing_calls](std::size_t,

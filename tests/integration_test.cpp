@@ -3,10 +3,9 @@
 // be identical whether computed in-memory or from its MRT archive on disk.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/classifier.h"
 #include "synth/labtopo.h"
+#include "test_dir.h"
 
 namespace bgpcc {
 namespace {
@@ -24,12 +23,12 @@ TEST(Integration, MrtRoundTripPreservesClassification) {
   core::UpdateStream direct = core::UpdateStream::from_collector(collector);
   core::TypeCounts direct_counts = core::classify_stream(direct);
 
-  std::string path = ::testing::TempDir() + "/bgpcc_integration.mrt";
+  testing_support::TestDir dir;
+  std::string path = dir.path("c1.mrt");
   collector.write_mrt(path);
   core::UpdateStream from_disk =
       core::UpdateStream::from_mrt_file("C1", path);
   core::TypeCounts disk_counts = core::classify_stream(from_disk);
-  std::remove(path.c_str());
 
   ASSERT_EQ(from_disk.size(), direct.size());
   for (core::AnnouncementType type : core::kAllAnnouncementTypes) {
@@ -55,10 +54,10 @@ TEST(Integration, SecondGranularityMrtNeedsCleaning) {
   (void)experiment.run();
 
   sim::RouteCollector& collector = experiment.network().collector("C1");
-  std::string path = ::testing::TempDir() + "/bgpcc_integration_1s.mrt";
+  testing_support::TestDir dir;
+  std::string path = dir.path("c1_1s.mrt");
   collector.write_mrt(path, /*extended_time=*/false);
   core::UpdateStream stream = core::UpdateStream::from_mrt_file("C1", path);
-  std::remove(path.c_str());
 
   // All records collapse onto whole seconds...
   for (const core::UpdateRecord& record : stream.records()) {

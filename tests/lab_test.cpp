@@ -13,6 +13,11 @@ struct LabCase {
   bool junos_like;  // suppresses duplicates
 };
 
+// Without this, gtest prints the case as a raw byte dump of the struct,
+// whose vendor pointer moves with ASLR: CTest test names (which carry the
+// printed GetParam()) would change on every test discovery.
+void PrintTo(const LabCase& c, std::ostream* os) { *os << c.vendor; }
+
 VendorProfile vendor_of(const LabCase& c) {
   if (c.vendor == std::string("junos")) return VendorProfile::junos();
   if (c.vendor == std::string("bird")) return VendorProfile::bird();

@@ -6,7 +6,7 @@
 //
 // The tool's path arrives via the BGPCC_MERGE_TOOL compile definition
 // (see tests/CMakeLists.txt); commands run through std::system with
-// stdout redirected into the test's temp directory.
+// stdout redirected into the test's own scratch directory.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,15 +15,12 @@
 #include <string>
 
 #include "archive_gen.h"
+#include "test_dir.h"
 
 namespace bgpcc {
 namespace {
 
 using core::archgen::ArchiveGenerator;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "bgpcc_merge_" + name;
-}
 
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
@@ -58,6 +55,11 @@ class MergeToolTest : public ::testing::Test {
     write_file(archive_b_, gen_b.generate(400));
   }
 
+  [[nodiscard]] std::string temp_path(const std::string& name) const {
+    return dir_.path(name);
+  }
+
+  testing_support::TestDir dir_;
   std::string archive_a_;
   std::string archive_b_;
 };

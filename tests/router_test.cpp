@@ -337,6 +337,10 @@ struct VendorCase {
   bool expect_duplicate;
 };
 
+// Print the vendor name, not gtest's byte dump (an ASLR-dependent pointer),
+// so the CTest test names stay the same across test discoveries.
+void PrintTo(const VendorCase& c, std::ostream* os) { *os << c.name; }
+
 class VendorDuplicateSweep : public ::testing::TestWithParam<VendorCase> {};
 
 TEST_P(VendorDuplicateSweep, EgressCleaningDuplicate) {

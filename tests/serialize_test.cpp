@@ -132,6 +132,17 @@ TEST(SerializeHeader, BadMagicAndVersionThrow) {
     std::ostringstream out;
     serialize::Writer w(out);
     w.u32(serialize::kMagic);
+    w.u16(2);  // the retired v2 layout (stream cursors inside pass
+               // states): rejected
+    w.u8(1);
+    std::istringstream in(out.str());
+    serialize::Reader r(in);
+    EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
+  }
+  {
+    std::ostringstream out;
+    serialize::Writer w(out);
+    w.u32(serialize::kMagic);
     w.u16(serialize::kFormatVersion);
     w.u8(99);  // unknown block kind
     std::istringstream in(out.str());
@@ -156,6 +167,18 @@ struct Handles {
   PassHandle<UsageClassificationPass> usage;
 };
 
+/// An hourly beacon schedule that the generated archives' timestamps
+/// fall into, so the Revealed and Exploration codecs carry real evidence
+/// (completed exploration events included).
+core::BeaconSchedule hourly_schedule() {
+  core::BeaconSchedule schedule;
+  schedule.period = Duration::hours(1);
+  schedule.announce_offset = Duration::minutes(35);
+  schedule.withdraw_offset = Duration::minutes(28);
+  schedule.window = Duration::minutes(5);
+  return schedule;
+}
+
 Handles add_all_passes(AnalysisDriver& driver) {
   return Handles{driver.add(ClassifierPass{}),
                  driver.add(PerSessionTypesPass{}),
@@ -163,8 +186,8 @@ Handles add_all_passes(AnalysisDriver& driver) {
                  driver.add(CommunityStatsPass{}),
                  driver.add(DuplicateBurstPass{}),
                  driver.add(AnomalyPass{}),
-                 driver.add(RevealedPass{}),
-                 driver.add(ExplorationPass{}),
+                 driver.add(RevealedPass{hourly_schedule()}),
+                 driver.add(ExplorationPass{hourly_schedule()}),
                  driver.add(UsageClassificationPass{})};
 }
 
@@ -195,14 +218,19 @@ AllReports collect(AnalysisDriver& driver, const Handles& handles) {
 }
 
 /// Ingests `archives` (collector → archive bytes) inline through one
-/// driver; returns the driver finalized via collect() when `reports` is
-/// non-null, or serialized via save_state into `state` otherwise.
+/// driver, in windows of `window_records` (0: one batch) over `shards`
+/// shards (0: the default); returns the driver finalized via collect()
+/// when `reports` is non-null, or serialized via save_state into `state`
+/// otherwise.
 void run_archives(const std::vector<std::pair<std::string, std::string>>&
                       archives,
                   const CleaningOptions& cleaning, AllReports* reports,
-                  std::string* state) {
+                  std::string* state, std::size_t window_records = 0,
+                  std::size_t shards = 0) {
   IngestOptions options;
   options.chunk_records = 32;
+  options.window_records = window_records;
+  options.shards = shards;
   options.cleaning = &cleaning;
 
   AnalysisDriver driver;
@@ -264,6 +292,35 @@ TEST(SerializeRoundtrip, SaveIsDeterministic) {
   // produce identical bytes — the property bgpcc-merge's byte-compare
   // tests (and any content-addressed artifact store) rely on.
   EXPECT_EQ(first, second);
+}
+
+TEST(SerializeRoundtrip, SaveBytesAreIndependentOfTheIngestPath) {
+  ArchiveGenerator gen_a(20260807);
+  ArchiveGenerator gen_b(20260808);
+  std::vector<std::pair<std::string, std::string>> archives{
+      {"rrc00", gen_a.generate(700)}, {"rrc01", gen_b.generate(500)}};
+  Registry registry = allocated_registry();
+  CleaningOptions cleaning;
+  cleaning.registry = &registry;
+
+  AllReports reports;
+  run_archives(archives, cleaning, &reports, nullptr);
+  ASSERT_GT(reports.exploration.size(), 1u)
+      << "fixture no longer completes exploration events";
+  // Windows cut the stream by arrival, so a shard holding sessions of
+  // both collectors completes evidence (for ExplorationPass: events) in
+  // a path-dependent order; the saved bytes must not show it. One shard
+  // puts every session in the same state.
+  for (std::size_t shards : {std::size_t{1}, std::size_t{0}}) {
+    std::string batch;
+    run_archives(archives, cleaning, nullptr, &batch, 0, shards);
+    for (std::size_t window : {std::size_t{16}, std::size_t{128}}) {
+      std::string windowed;
+      run_archives(archives, cleaning, nullptr, &windowed, window, shards);
+      EXPECT_EQ(windowed, batch)
+          << "shards=" << shards << " window_records=" << window;
+    }
+  }
 }
 
 TEST(SerializeRoundtrip, StateTagsAreReadable) {

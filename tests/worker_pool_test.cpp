@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bgpcc::core {
@@ -134,15 +135,25 @@ TEST(WorkerPool, ParallelForPropagatesFirstError) {
 TEST(WorkerPool, ErrorSkipsQueuedGroupTasks) {
   // The regression this pool exists to fix: the old per-call spawn code
   // kept executing every remaining job after one had already thrown.
-  // With one worker the queue drains strictly in order, so when task 0
-  // throws, tasks 1..99 must be skipped — not one of them may run.
+  // The contract is "tasks not yet started when the failure is recorded
+  // are skipped". The test makes that ordering deterministic: the only
+  // worker holds task 0 until all 99 siblings are queued, and wait() —
+  // which helps run queued tasks — starts only once the failure is
+  // recorded. Every sibling is therefore still queued at that point, so
+  // not one of them may run.
   WorkerPool pool(1);
   WorkerPool::Group group;
+  std::atomic<bool> siblings_queued{false};
   std::atomic<int> executed{0};
-  pool.submit(group, [] { throw std::runtime_error("first task fails"); });
+  pool.submit(group, [&siblings_queued] {
+    while (!siblings_queued.load()) std::this_thread::yield();
+    throw std::runtime_error("first task fails");
+  });
   for (int i = 0; i < 99; ++i) {
     pool.submit(group, [&executed] { executed.fetch_add(1); });
   }
+  siblings_queued.store(true);
+  while (!group.failed()) std::this_thread::yield();
   EXPECT_THROW(pool.wait(group), std::runtime_error);
   EXPECT_EQ(executed.load(), 0);
 }
