@@ -174,8 +174,9 @@ void BM_IngestMrtStream(benchmark::State& state) {
 BENCHMARK(BM_IngestMrtStream)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // Multi-archive throughput of the pipelined engine: 8 in-memory archives
-// framed concurrently (bounded-queue fan-out) into one shared shard set,
-// swept over worker counts — the collector-directory workload the paper's
+// framed in order by one cursor, with bounded in-flight decode tasks on
+// the pool, into one shared shard set as one unbounded window — swept
+// over worker counts; the collector-directory workload the paper's
 // multi-collector measurement study implies.
 void BM_IngestMrtSources(benchmark::State& state) {
   constexpr int kFiles = 8;

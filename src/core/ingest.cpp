@@ -1,7 +1,6 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <filesystem>
@@ -14,6 +13,7 @@
 #include <mutex>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -174,9 +174,9 @@ bool seq_only_order(const SeqRecord& a, const SeqRecord& b) {
 // padded to a power of two) over the per-shard ranges [lo, hi), moving
 // each record straight into its final slot. cmp is a strict total order
 // (seq is globally unique), so the merge — and every partitioning of it —
-// is deterministic. Out is UpdateRecord for the batch path (seq tags are
-// spent) or SeqRecord for window runs (the final run-merge still needs
-// the tie-break).
+// is deterministic. Out is UpdateRecord when the sole window merges
+// straight into the output stream (seq tags are spent) or SeqRecord for
+// stored window runs (the final run-merge still needs the tie-break).
 template <typename Out>
 void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
                      const std::vector<std::size_t>& lo,
@@ -312,8 +312,7 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
   std::vector<CleaningReport> reports(shard_count);
   // Committed-window barrier (IngestOptions::window_begin): held across
   // the whole shard-clean + observer phase, RAII so a throwing shard job
-  // still commits. Covers both the windowed path (process_window) and
-  // the batch path (finish_engine) — each batch run is one window.
+  // still commits.
   struct WindowBracket {
     const IngestOptions& opt;
     explicit WindowBracket(const IngestOptions& o) : opt(o) {
@@ -335,7 +334,9 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
       for (DecodedChunk& chunk : decoded) {
         std::vector<SeqRecord>& bucket = chunk.shards[s];
         std::move(bucket.begin(), bucket.end(), std::back_inserter(shards[s]));
-        bucket.clear();
+        // Free the bucket now, not with the window: its moved-from slots
+        // would otherwise stay allocated through clean, observe and merge.
+        std::vector<SeqRecord>().swap(bucket);
       }
       if (options.cleaning != nullptr) {
         sort_seq_records(shards[s]);
@@ -359,29 +360,6 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
     report.route_server_paths_repaired += r.route_server_paths_repaired;
     report.timestamps_adjusted += r.timestamps_adjusted;
   }
-}
-
-// Phases 3+4 of the batch path: gather, clean, merge straight into the
-// output stream — the single-window configuration.
-void finish_engine(std::vector<DecodedChunk>& decoded,
-                   const IngestOptions& options, WorkerPool* pool,
-                   unsigned threads, std::size_t shard_count,
-                   IngestResult& result) {
-  result.stats.shards = shard_count;
-  result.stats.threads = threads;
-  result.stats.chunks = decoded.size();
-  result.stats.windows = 1;
-  obs::pipeline_metrics().ingest_windows->inc();
-  for (const DecodedChunk& chunk : decoded) {
-    result.stats.update_messages += chunk.update_messages;
-    result.stats.records += chunk.records;
-  }
-
-  std::vector<std::vector<SeqRecord>> shards;
-  gather_and_clean(decoded, options, pool, shard_count, nullptr, shards,
-                   result.cleaning);
-  parallel_merge(shards, options.sort_by_time, pool, threads,
-                 result.stream.records());
 }
 
 void sort_decoded(std::vector<DecodedChunk>& decoded) {
@@ -748,9 +726,8 @@ std::size_t resolve_shard_count(const IngestOptions& options) {
 // pipeline: while window N runs shard-clean + merge + inline passes on
 // the pool, window N+1 is framed and decoded on the same pool
 // (IngestOptions::pipeline_windows), with decode tasks in flight bounded
-// by the queue_chunks cap. Batch mode (window_records == 0, finish()
-// without poll()) takes the multi-framer path instead — same output,
-// whole input as one window.
+// by the queue_chunks cap. window_records == 0 is simply one unbounded
+// window.
 
 struct StreamingIngestor::Impl {
   struct SourceEntry {
@@ -766,10 +743,10 @@ struct StreamingIngestor::Impl {
         chunk_records(resolve_chunk_records(opts)),
         shard_count(resolve_shard_count(opts)),
         carry(shard_count),
-        // Batch mode (window 0) holds the whole input in memory anyway,
-        // so spilling its single run would only add a full disk
-        // write+read — spill_dir is honored exactly when windows bound
-        // memory, as the header documents.
+        // Window 0 holds the whole input in memory anyway, so spilling
+        // its single run would only add a full disk write+read —
+        // spill_dir is honored exactly when windows bound memory, as the
+        // header documents.
         runs(opts.window_records == 0 ? std::string() : opts.spill_dir),
         // threads-1 pool workers: the calling thread participates in
         // every stage (parallel_for and wait() both help), so total
@@ -1015,7 +992,10 @@ struct StreamingIngestor::Impl {
   }
 
   /// Processes one window end to end; false when the input is exhausted.
-  bool process_window() {
+  /// With `direct` set, a window that exhausts the input while no run is
+  /// stored is the sole window of the result: it merges straight into
+  /// `direct` instead of through a one-run RunStore copy.
+  bool process_window(std::vector<UpdateRecord>* direct = nullptr) {
     const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
     obs::StageTimer window_timer(metrics.ingest_window);
     const std::size_t budget = options.window_records == 0
@@ -1053,135 +1033,17 @@ struct StreamingIngestor::Impl {
     std::vector<std::vector<SeqRecord>> shards;
     gather_and_clean(w->decoded, options, pool.get(), shard_count, &carry,
                      shards, cleaning_report);
-    std::vector<SeqRecord> run;
-    parallel_merge(shards, options.sort_by_time, pool.get(), threads, run);
-    runs.add_run(std::move(run));
+    if (direct != nullptr && w->framed < budget && runs.total_records() == 0) {
+      parallel_merge(shards, options.sort_by_time, pool.get(), threads,
+                     *direct);
+    } else {
+      std::vector<SeqRecord> run;
+      parallel_merge(shards, options.sort_by_time, pool.get(), threads, run);
+      runs.add_run(std::move(run));
+    }
     ++stats.windows;
     metrics.ingest_windows->inc();
     return true;
-  }
-
-  /// The batch configuration: whole input as one window through the
-  /// multi-framer pipelined path (framing I/O overlaps decode, several
-  /// archives framed concurrently), merged straight into the stream.
-  void run_batch(IngestResult& result) {
-    // Wrap every source up front (detecting compression); files are
-    // opened here, matching the windowed path's DecodeError on a missing
-    // file.
-    std::vector<mrt::InputStream> inputs;
-    inputs.reserve(sources.size());
-    for (SourceEntry& entry : sources) {
-      inputs.push_back(entry.is_file ? mrt::InputStream::open_file(entry.path)
-                                     : mrt::InputStream::wrap(*entry.borrowed));
-    }
-
-    std::vector<DecodedChunk> decoded;
-    std::size_t raw_records = 0;
-
-    auto frame_file = [&](mrt::ChunkedReader& file_reader, std::uint32_t file,
-                          const std::function<bool(FramedChunk&&)>& sink) {
-      const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
-      std::uint32_t file_chunk = 0;
-      for (;;) {
-        std::optional<std::vector<mrt::Record>> chunk;
-        {
-          obs::StageTimer frame_timer(metrics.ingest_frame);
-          chunk = file_reader.next_chunk();
-        }
-        if (!chunk) break;
-        if (file_chunk >= kMaxChunksPerFile) {
-          throw DecodeError(
-              "arrival-sequence overflow: one archive frames past 2^24 "
-              "chunks (raise IngestOptions::chunk_records)");
-        }
-        if (!sink(FramedChunk{file, file_chunk++, std::move(*chunk)})) return;
-      }
-    };
-
-    if (pool == nullptr || sources.empty()) {
-      // Inline mode: frame and decode alternate on the caller's thread,
-      // one ChunkedReader reused (reset) across every file. Nothing is
-      // buffered beyond the chunk in flight.
-      std::optional<mrt::ChunkedReader> batch_reader;
-      for (std::size_t f = 0; f < sources.size(); ++f) {
-        if (!batch_reader) {
-          batch_reader.emplace(inputs[f].stream(), chunk_records);
-        } else {
-          batch_reader->reset(inputs[f].stream());
-        }
-        frame_file(*batch_reader, static_cast<std::uint32_t>(f),
-                   [&](FramedChunk&& framed) {
-                     decoded.push_back(
-                         decode_mrt_chunk(sources[framed.file].collector,
-                                          std::move(framed), shard_count));
-                     return true;
-                   });
-      }
-      if (batch_reader) raw_records = batch_reader->records_read();
-    } else {
-      // Pool mode: framer tasks claim whole files and fan chunks out as
-      // decode tasks on the same group — framing I/O overlaps decode,
-      // multiple archives are framed in parallel, and the caller helps
-      // (wait executes queued tasks) instead of spawning threads.
-      std::size_t framers =
-          options.frame_threads != 0
-              ? std::min<std::size_t>(options.frame_threads, sources.size())
-              : std::min<std::size_t>(
-                    {sources.size(), threads, std::size_t{4}});
-      if (framers == 0) framers = 1;
-
-      WindowDecode w;
-      const std::size_t cap = resolve_queue_capacity(options, threads);
-      std::atomic<std::size_t> next_file{0};
-      std::atomic<std::size_t> raw_counter{0};
-
-      auto framer = [&] {
-        std::optional<mrt::ChunkedReader> file_reader;
-        auto flush_raw = [&] {
-          if (file_reader) {
-            raw_counter.fetch_add(file_reader->records_read(),
-                                  std::memory_order_relaxed);
-          }
-        };
-        try {
-          for (;;) {
-            std::size_t f = next_file.fetch_add(1, std::memory_order_relaxed);
-            if (f >= sources.size() || w.group.failed()) break;
-            if (!file_reader) {
-              file_reader.emplace(inputs[f].stream(), chunk_records);
-            } else {
-              file_reader->reset(inputs[f].stream());
-            }
-            frame_file(*file_reader, static_cast<std::uint32_t>(f),
-                       [&](FramedChunk&& framed) {
-                         return decode_sink(w, cap, std::move(framed));
-                       });
-          }
-        } catch (...) {
-          flush_raw();
-          throw;
-        }
-        flush_raw();
-      };
-
-      for (std::size_t t = 0; t + 1 < framers; ++t) {
-        pool->submit(w.group, framer);
-      }
-      // The caller runs one framer itself, then waits — executing any
-      // still-queued framer/decode tasks while it does.
-      try {
-        framer();
-      } catch (...) {
-        pool->fail(w.group, std::current_exception());
-      }
-      pool->wait(w.group);
-      raw_records = raw_counter.load();
-      decoded = std::move(w.decoded);
-    }
-
-    result.stats.raw_records = raw_records;
-    sort_decoded(decoded);
-    finish_engine(decoded, options, pool.get(), threads, shard_count, result);
   }
 
   IngestResult finish(const std::function<void(UpdateRecord&&)>* sink) {
@@ -1208,32 +1070,19 @@ struct StreamingIngestor::Impl {
 
   IngestResult finish_impl(const std::function<void(UpdateRecord&&)>* sink) {
     IngestResult result;
-    if (!windowed && options.window_records == 0 && sink == nullptr) {
-      run_batch(result);
-    } else {
-      while (process_window()) {
-      }
-      result.cleaning = cleaning_report;
-      result.stats = stats;
-      if (sink != nullptr) {
-        runs.merge(options.sort_by_time,
-                   [&](UpdateRecord&& record) { (*sink)(std::move(record)); });
-      } else {
-        std::vector<UpdateRecord>& out = result.stream.records();
-        out.reserve(runs.total_records());
-        runs.merge(options.sort_by_time, [&](UpdateRecord&& record) {
-          out.push_back(std::move(record));
-        });
-      }
+    std::vector<UpdateRecord>& out = result.stream.records();
+    while (process_window(sink == nullptr ? &out : nullptr)) {
     }
-    result.stats.files = sources.size();
-    result.stats.shards = shard_count;
-    result.stats.threads = threads;
-    // Keep the accessor truthful after a batch-mode finish too: stats()
-    // must report the completed run, not the zeros of a never-polled
-    // windowed state.
-    stats = result.stats;
-    cleaning_report = result.cleaning;
+    result.cleaning = cleaning_report;
+    result.stats = stats;
+    if (sink != nullptr) {
+      runs.merge(options.sort_by_time, *sink);
+    } else {
+      out.reserve(out.size() + runs.total_records());
+      runs.merge(options.sort_by_time, [&](UpdateRecord&& record) {
+        out.push_back(std::move(record));
+      });
+    }
     return result;
   }
 
@@ -1268,7 +1117,6 @@ struct StreamingIngestor::Impl {
   CleaningReport cleaning_report;
   IngestStats stats;
   RunStore runs;
-  bool windowed = false;  // poll() was used → finish via run-merge
   bool finished = false;
   bool failed = false;  // a poll() threw → results would be incomplete
 
@@ -1316,7 +1164,6 @@ bool StreamingIngestor::poll() {
   if (impl_->finished) {
     throw ConfigError("StreamingIngestor: poll() after finish()");
   }
-  impl_->windowed = true;
   try {
     return impl_->process_window();
   } catch (...) {
@@ -1369,7 +1216,7 @@ IngestCheckpoint StreamingIngestor::checkpoint_state() const {
 
 void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
   Impl& impl = *impl_;
-  if (impl.finished || impl.failed || impl.windowed ||
+  if (impl.finished || impl.failed || impl.next_source != 0 ||
       impl.stats.raw_records != 0 || impl.input) {
     throw ConfigError(
         "StreamingIngestor: restore_checkpoint() on a used ingestor — "
@@ -1433,7 +1280,6 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
   impl.committed_input_open = state.input_open;
   impl.committed_current_file = state.current_file;
   impl.committed_chunk_index = state.chunk_index;
-  impl.windowed = true;  // resumed runs finish via the run-merge path
 
   if (state.input_open) {
     Impl::SourceEntry& entry = impl.sources[state.current_file];
@@ -1458,7 +1304,7 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch entry points: thin wrappers over the streaming core.
+// One-shot entry points: thin wrappers over the streaming core.
 
 IngestResult ingest_mrt_sources(const std::vector<MrtSource>& sources,
                                 const IngestOptions& options) {
@@ -1509,77 +1355,26 @@ IngestResult ingest_mrt_files(const std::string& collector,
   return ingest_mrt_files({{collector, paths}}, options);
 }
 
+// A simulated collector's log takes the archive path: written as an
+// in-memory BGP4MP_ET archive (microsecond stamps survive), it is framed,
+// decoded, windowed and spilled exactly like a RouteViews/RIS dump.
 IngestResult ingest_collectors(
     const std::vector<const sim::RouteCollector*>& collectors,
     const IngestOptions& options) {
   if (collectors.size() >= kMaxFilesPerRun) {
     throw ConfigError("ingest_collectors: more than 2^16 collectors");
   }
-  unsigned threads = resolve_threads(options.num_threads);
-  std::size_t chunk_records = resolve_chunk_records(options);
-  std::size_t shard_count = resolve_shard_count(options);
-  // One pool for decode + clean + merge (instead of three spawn/join
-  // rounds); the caller participates, so threads-1 workers.
-  std::optional<WorkerPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads - 1);
-  WorkerPool* pool = pool_storage ? &*pool_storage : nullptr;
-
-  IngestResult result;
-  result.stats.files = collectors.size();
-
-  // Recorded messages are already in memory, so the job list is known
-  // upfront: one (collector, chunk) pair per batch, dispatched straight to
-  // the pool — no framer stage, no queue, and no windowing (there is no
-  // archive to bound memory against).
-  struct Job {
-    std::uint32_t file;
-    std::uint32_t chunk;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Job> jobs;
+  std::vector<std::stringstream> archives(collectors.size());
+  std::vector<MrtSource> sources;
+  sources.reserve(collectors.size());
   for (std::size_t c = 0; c < collectors.size(); ++c) {
     if (collectors[c] == nullptr) {
       throw ConfigError("ingest_collectors: null collector");
     }
-    std::size_t count = collectors[c]->messages().size();
-    result.stats.raw_records += count;
-    std::size_t chunks = (count + chunk_records - 1) / chunk_records;
-    if (chunks >= kMaxChunksPerFile) {
-      throw ConfigError("ingest_collectors: collector log frames past 2^24 "
-                        "chunks (raise IngestOptions::chunk_records)");
-    }
-    for (std::size_t k = 0; k < chunks; ++k) {
-      jobs.push_back(Job{static_cast<std::uint32_t>(c),
-                         static_cast<std::uint32_t>(k), k * chunk_records,
-                         std::min(count, (k + 1) * chunk_records)});
-    }
+    collectors[c]->write_mrt(archives[c]);
+    sources.push_back(MrtSource{collectors[c]->name(), &archives[c]});
   }
-
-  std::vector<DecodedChunk> decoded(jobs.size());
-  run_parallel(pool, jobs.size(), [&](std::size_t j) {
-    const Job& job = jobs[j];
-    const sim::RouteCollector& collector = *collectors[job.file];
-    const std::vector<sim::RecordedMessage>& messages = collector.messages();
-    DecodedChunk out(shard_count);
-    out.file = job.file;
-    out.chunk = job.chunk;
-    std::uint64_t base = seq_base(job.file, job.chunk);
-    std::uint64_t local = 0;
-    std::vector<UpdateRecord> scratch;
-    for (std::size_t m = job.begin; m < job.end; ++m) {
-      const sim::RecordedMessage& rec = messages[m];
-      ++out.update_messages;
-      append_update_records(collector.name(), rec.peer_asn, rec.peer_address,
-                            rec.time, rec.update, scratch);
-      bucket_records(scratch, base, local, out);
-    }
-    decoded[j] = std::move(out);
-  });
-
-  sort_decoded(decoded);
-  finish_engine(decoded, options, pool, threads, shard_count, result);
-  return result;
+  return ingest_mrt_sources(sources, options);
 }
 
 IngestResult ingest_collector(const sim::RouteCollector& collector,

@@ -6,18 +6,18 @@
 // Pipeline (every stage runs on one persistent core::WorkerPool, created
 // with the engine and reused across windows and poll()/finish() calls —
 // no per-window thread spawn/join):
-//   1. Frame   — sequential readers (one per archive file, fanned out over
-//                `frame_threads`) slice the input into batches of
-//                `chunk_records` raw records. Each batch carries a
-//                (file, chunk) arrival coordinate — the determinism
-//                anchor — and is submitted as a decode task, with the
-//                number in flight bounded (`queue_chunks`) so framing
-//                I/O overlaps decode without unbounded buffering.
+//   1. Frame   — one framing cursor walks the sources in add order and
+//                slices them into batches of `chunk_records` raw
+//                records. Each batch carries a (file, chunk) arrival
+//                coordinate — the determinism anchor — and is submitted
+//                as a decode task, with the number in flight bounded
+//                (`queue_chunks`) so framing I/O overlaps decode without
+//                unbounded buffering.
 //   2. Decode  — pool workers decode each batch as it is framed
-//                (decode starts while later files are still being framed),
-//                decoding BGP4MP endpoints + inner UPDATE and exploding
-//                messages into per-prefix UpdateRecords. In windowed mode
-//                window N+1 frames/decodes on the pool while window N
+//                (decode starts while later batches are still being
+//                framed), decoding BGP4MP endpoints + inner UPDATE and
+//                exploding messages into per-prefix UpdateRecords.
+//                Window N+1 frames/decodes on the pool while window N
 //                cleans and merges (IngestOptions::pipeline_windows).
 //   3. Shard   — decoded records are bucketed by SessionKey hash, so every
 //                BGP session lands wholly inside one shard — even when its
@@ -36,16 +36,17 @@
 // byte-identical streams, reports, and stats — stream_parallel_test and
 // ingest_differential_test assert exactly that.
 //
-// Streaming windowed mode (StreamingIngestor / window_records != 0) runs
-// the same pipeline in bounded windows: each window frames up to
-// `window_records` raw records (chunk-granular), runs shard-clean with
+// Every input — archive files, streams, and simulated collectors (whose
+// logs are written as in-memory archives) — takes this one path, in
+// windows: each window frames up to `window_records` raw records
+// (chunk-granular; 0 = one unbounded window), runs shard-clean with
 // per-shard session-state carry-over, merges to one ordered run, and
 // spills or buffers it; a final incremental k-way run-merge stitches the
 // runs into the identical globally ordered record sequence — so peak
-// memory is O(window + shards), not O(archive). All inputs — files or
-// streams — pass through the transparent gzip/bz2 detection layer
-// (mrt/source.h), so `.gz`/`.bz2` RouteViews/RIS archives ingest without
-// a separate unpack step.
+// memory is O(window + shards), not O(archive). A sole window merges
+// straight into the output stream. All inputs pass through the
+// transparent gzip/bz2 detection layer (mrt/source.h), so `.gz`/`.bz2`
+// RouteViews/RIS archives ingest without a separate unpack step.
 #pragma once
 
 #include <cstdint>
@@ -84,14 +85,10 @@ struct IngestOptions {
   /// Raw records per framed batch: the decode work unit. Smaller chunks
   /// balance better, larger chunks amortize dispatch.
   std::size_t chunk_records = 4096;
-  /// Depth of the bounded frame→decode queue, in chunks. Bounds the raw
-  /// bytes in flight (framers block when decode falls behind). 0 means
+  /// Decode tasks in flight per window, in chunks. Bounds the raw bytes
+  /// in flight (the framer blocks when decode falls behind). 0 means
   /// "auto": 2× the worker count, at least 4.
   std::size_t queue_chunks = 0;
-  /// Concurrent framer threads for multi-archive ingestion (each frames
-  /// whole files; a single stream is inherently one framer). 0 means
-  /// "auto": min(#files, num_threads, 4).
-  unsigned frame_threads = 0;
   /// When true (default) the output is sorted by (timestamp, arrival
   /// sequence); when false it keeps arrival order — the legacy
   /// UpdateStream::from_mrt_file / from_collector contract.
@@ -101,25 +98,26 @@ struct IngestOptions {
   const CleaningOptions* cleaning = nullptr;
   /// Raw MRT records per streaming window (chunk-granular: a window closes
   /// at the first chunk boundary at or past the budget). 0 processes the
-  /// whole input as one window — the batch mode, where `frame_threads`
-  /// fans archive files out over concurrent framers. Any non-zero window
-  /// frames sequentially (a window is by definition a prefix of the
+  /// whole input as one unbounded window. Every window is framed by one
+  /// sequential cursor (a window is by definition a prefix of the
   /// arrival order) while decode, cleaning, and the merge stay parallel.
   /// The output is byte-identical for every window size; only peak memory
   /// changes: O(window + shards) with spilling, O(archive) without.
   std::size_t window_records = 0;
   /// When non-empty, completed window runs spill to temp files under this
   /// directory (created if missing) instead of accumulating in memory —
-  /// the archives-larger-than-RAM configuration. Ignored in batch mode
-  /// (window_records == 0), which never materializes runs.
+  /// the archives-larger-than-RAM configuration. Ignored when
+  /// window_records == 0: the one unbounded window holds the whole input
+  /// in memory anyway, so spilling it would only add a disk round trip.
   std::string spill_dir;
   /// Pipeline windows (default on): while window N runs shard-clean,
   /// merge, and inline passes, window N+1 is framed and decoded on the
   /// persistent worker pool, bounded by the same queue_chunks cap so
-  /// peak memory stays O(window + shards). Effective only in windowed
-  /// multi-threaded runs; the output is byte-identical either way
-  /// (windows are processed strictly in order — only the frame/decode
-  /// work overlaps). Off is mainly useful for benchmarking the overlap.
+  /// peak memory stays O(window + shards). Effective only in
+  /// multi-threaded runs with window_records != 0; the output is
+  /// byte-identical either way (windows are processed strictly in order
+  /// — only the frame/decode work overlaps). Off is mainly useful for
+  /// benchmarking the overlap.
   bool pipeline_windows = true;
   /// SessionKey-hash shard count. 0 (default) resolves to kIngestShards,
   /// doubled until it is at least the resolved thread count (capped at
@@ -145,7 +143,7 @@ struct IngestOptions {
   /// Optional committed-window barrier, paired with shard_observer
   /// (analytics::AnalysisDriver::attach wires both). window_begin is
   /// invoked on the engine's polling thread immediately before a
-  /// window's shard-clean + observer phase (a batch run counts as one
+  /// window's shard-clean + observer phase (window_records == 0 is one
   /// window); window_commit when that phase ends — RAII-bracketed, so a
   /// throwing window still commits. Everything between the two calls is
   /// a half-applied window: an external thread that waits out the
@@ -180,9 +178,10 @@ struct IngestStats {
   std::size_t records = 0;        ///< exploded per-prefix records (pre-clean)
   std::size_t shards = 0;         ///< SessionKey-hash shards used
   unsigned threads = 0;           ///< resolved worker count
-  /// Window runs produced (1 in batch mode). Like `threads`/`shards` this
-  /// reflects the engine configuration, not the input, and is excluded
-  /// from the deterministic-output contract.
+  /// Windows processed (1 when window_records == 0 and the input is not
+  /// empty). Like `threads`/`shards` this reflects the engine
+  /// configuration, not the input, and is excluded from the
+  /// deterministic-output contract.
   std::size_t windows = 0;
 };
 
@@ -248,13 +247,14 @@ struct IngestCheckpoint {
 /// and merges every run into the final globally ordered stream, so
 /// `finish()` alone (no poll loop) is equivalent. The callback-sink
 /// overload emits records in final order without materializing the
-/// stream. The batch entry points below are thin wrappers over this
-/// class with window_records == 0 (one window = whole input).
+/// stream. The one-shot entry points below (ingest_mrt_*,
+/// ingest_collectors) are thin wrappers over this class that pass their
+/// options through.
 ///
 /// Inputs are framed in add order; compressed (.gz/.bz2) files and
 /// streams are detected by magic bytes and inflated transparently.
 /// Windowed cleaning carries per-session second-granularity state across
-/// window cuts, which reproduces batch output exactly whenever each
+/// window cuts, which reproduces one-window output exactly whenever each
 /// session's second-granularity timestamps are non-decreasing in arrival
 /// order — the shape chronological collector archives guarantee.
 class StreamingIngestor {
@@ -267,11 +267,10 @@ class StreamingIngestor {
   /// Registers a caller-owned archive stream (must outlive the ingestor).
   /// Throws ConfigError on a null-ish use or more than 2^16 sources.
   void add_stream(const std::string& collector, std::istream& in);
-  /// Registers an archive file. In windowed mode (window_records != 0,
-  /// or any poll()/sink use) files are opened lazily as framing reaches
-  /// them, so a directory of thousands of dumps holds O(1) descriptors
-  /// open; the batch path (window_records == 0) opens every source up
-  /// front because its framers walk files concurrently.
+  /// Registers an archive file. Files are opened lazily as framing
+  /// reaches them, so a directory of thousands of dumps holds O(1)
+  /// descriptors open; a missing file raises DecodeError from the
+  /// poll()/finish() that reaches it.
   void add_file(const std::string& collector, const std::string& path);
 
   /// Processes the next window (frame → decode → shard-clean → sorted
@@ -342,11 +341,12 @@ struct MrtSource {
 };
 
 /// Ingests many archive streams into ONE shard set: sources are framed
-/// concurrently (bounded fan-out), per-source arrival-sequence bases keep
-/// the global order deterministic — records interleave exactly as if the
-/// sources had been concatenated in the given order — and cross-file
-/// session state is cleaned once. The workhorse behind ingest_mrt_files;
-/// exposed for in-memory archives (tests, benchmarks, network buffers).
+/// in the given order while decode runs in parallel, per-source
+/// arrival-sequence bases keep the global order deterministic — records
+/// interleave exactly as if the sources had been concatenated in the
+/// given order — and cross-file session state is cleaned once. Exposed
+/// for in-memory archives (tests, benchmarks, network buffers,
+/// simulated collectors via ingest_collectors).
 [[nodiscard]] IngestResult ingest_mrt_sources(
     const std::vector<MrtSource>& sources, const IngestOptions& options = {});
 
@@ -368,9 +368,11 @@ struct MrtSource {
     const sim::RouteCollector& collector, const IngestOptions& options = {});
 
 /// Ingests several simulated collectors into one shared shard set — the
-/// in-simulator equivalent of multi-collector archive ingestion. Collector
-/// order defines the arrival-sequence bases (and so the deterministic
-/// interleaving of equal timestamps).
+/// in-simulator equivalent of multi-collector archive ingestion. Each log
+/// is written as an in-memory BGP4MP_ET archive and ingested through
+/// ingest_mrt_sources, so every IngestOptions knob (windows, spilling,
+/// pipelining) applies. Collector order defines the arrival-sequence
+/// bases (and so the deterministic interleaving of equal timestamps).
 [[nodiscard]] IngestResult ingest_collectors(
     const std::vector<const sim::RouteCollector*>& collectors,
     const IngestOptions& options = {});

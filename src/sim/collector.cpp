@@ -15,6 +15,11 @@ namespace bgpcc::sim {
 
 void RouteCollector::write_range(std::ostream& out, std::size_t begin,
                                  std::size_t end, bool extended_time) const {
+  // BGP4MP carries one address family for both endpoints. A session
+  // whose family differs from the collector's own address records the
+  // unspecified address of the session's family as the local end, so
+  // every log the collector accepted can be written (and ingested).
+  const std::uint8_t unspecified_v6[16] = {};
   mrt::Writer writer(out);
   for (std::size_t i = begin; i < end; ++i) {
     const RecordedMessage& rec = messages_[i];
@@ -22,7 +27,13 @@ void RouteCollector::write_range(std::ostream& out, std::size_t begin,
     message.peer_asn = rec.peer_asn;
     message.local_asn = asn_;
     message.peer_ip = rec.peer_address;
-    message.local_ip = address_;
+    if (rec.peer_address.family() == address_.family()) {
+      message.local_ip = address_;
+    } else if (rec.peer_address.family() == AddressFamily::kIpv6) {
+      message.local_ip = IpAddress::v6(unspecified_v6);
+    } else {
+      message.local_ip = IpAddress::v4(0);
+    }
     message.bgp_message = encode_update(rec.update);
     writer.write_message(rec.time, message, extended_time);
   }

@@ -261,18 +261,14 @@ TEST(IngestDifferential, QueueDepthInvariance) {
       ingest_split("C1", split_archives(records, 3), reference_options);
 
   for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{64}}) {
-    for (unsigned framers : {1u, 3u}) {
-      SCOPED_TRACE("depth=" + std::to_string(depth) +
-                   " framers=" + std::to_string(framers));
-      IngestOptions options;
-      options.num_threads = 4;
-      options.chunk_records = 8;
-      options.queue_chunks = depth;
-      options.frame_threads = framers;
-      options.cleaning = &cleaning;
-      expect_identical(
-          reference, ingest_split("C1", split_archives(records, 3), options));
-    }
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    IngestOptions options;
+    options.num_threads = 4;
+    options.chunk_records = 8;
+    options.queue_chunks = depth;
+    options.cleaning = &cleaning;
+    expect_identical(
+        reference, ingest_split("C1", split_archives(records, 3), options));
   }
 }
 
@@ -380,7 +376,9 @@ TEST(IngestDifferential, RotatedFilesMatchSingleArchive) {
 }
 
 // The in-simulator multi-collector path: ingest_collectors over several
-// RouteCollectors equals ingesting their merged archives.
+// RouteCollectors equals ingesting their merged archives, at every thread
+// count and window size — windows and spilling apply to simulated
+// collectors exactly as to archives.
 TEST(IngestDifferential, CollectorsMatchArchives) {
   std::vector<sim::RouteCollector> collectors;
   collectors.emplace_back("rrc00", Asn(64512),
@@ -388,6 +386,9 @@ TEST(IngestDifferential, CollectorsMatchArchives) {
   collectors.emplace_back("rrc01", Asn(64513),
                           IpAddress::from_string("203.0.113.2"));
   Timestamp base = Timestamp::from_unix_seconds(1600000000);
+  // Session 2 peers over IPv6 with collectors addressed over IPv4: the
+  // archive carries one family per record, so the log must still write.
+  const IpAddress v6_peer = IpAddress::from_string("2001:db8::3");
   for (int i = 0; i < 120; ++i) {
     UpdateMessage update;
     update.announced.push_back(
@@ -402,7 +403,10 @@ TEST(IngestDifferential, CollectorsMatchArchives) {
     collectors[static_cast<std::size_t>(i % 2)].record(
         base + Duration::millis(i * 5), static_cast<std::uint32_t>(i % 3),
         Asn(65001u + static_cast<std::uint32_t>(i % 3)),
-        IpAddress::v4(0x0a000001u + static_cast<std::uint32_t>(i % 3)), update);
+        i % 3 == 2
+            ? v6_peer
+            : IpAddress::v4(0x0a000001u + static_cast<std::uint32_t>(i % 3)),
+        update);
   }
 
   std::ostringstream archive_a;
@@ -417,15 +421,37 @@ TEST(IngestDifferential, CollectorsMatchArchives) {
   std::istringstream in_b(archive_b.str());
   IngestResult from_archives = ingest_mrt_sources(
       {MrtSource{"rrc00", &in_a}, MrtSource{"rrc01", &in_b}}, options);
+  std::size_t v6_records = 0;
+  for (const UpdateRecord& record : from_archives.stream.records()) {
+    if (record.session.peer_address == v6_peer) ++v6_records;
+  }
+  EXPECT_EQ(v6_records, 40u);
 
-  for (unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    IngestOptions parallel = options;
-    parallel.num_threads = threads;
-    IngestResult direct =
-        ingest_collectors({&collectors[0], &collectors[1]}, parallel);
-    expect_identical(from_archives, direct);
-    EXPECT_EQ(direct.stats.files, 2u);
+  testing_support::TestDir scratch;
+  struct WindowCase {
+    std::size_t window_records;
+    bool spill;
+  };
+  for (WindowCase window : {WindowCase{0, false}, WindowCase{16, false},
+                            WindowCase{16, true}}) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("window=" + std::to_string(window.window_records) +
+                   " spill=" + std::to_string(window.spill) +
+                   " threads=" + std::to_string(threads));
+      IngestOptions parallel = options;
+      parallel.num_threads = threads;
+      parallel.window_records = window.window_records;
+      if (window.spill) parallel.spill_dir = scratch.path("spill");
+      IngestResult direct =
+          ingest_collectors({&collectors[0], &collectors[1]}, parallel);
+      expect_identical(from_archives, direct);
+      EXPECT_EQ(direct.stats.files, 2u);
+      if (window.window_records == 0) {
+        EXPECT_EQ(direct.stats.windows, 1u);
+      } else {
+        EXPECT_GT(direct.stats.windows, 1u);
+      }
+    }
   }
 }
 

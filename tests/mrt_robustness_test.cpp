@@ -268,7 +268,7 @@ TEST(MrtRobustness, CorruptFirstRecordLongArchive) {
 
 TEST(MrtRobustness, MultiSourceErrors) {
   // Second of three sources is corrupt: the whole multi-archive run fails,
-  // at any thread count, with concurrent framers.
+  // at any thread count.
   std::string good;
   for (int i = 0; i < 32; ++i) good += good_record();
   std::string bad = good + raw_record(999, 4, 0, {});
@@ -281,7 +281,6 @@ TEST(MrtRobustness, MultiSourceErrors) {
     core::IngestOptions options;
     options.num_threads = threads;
     options.chunk_records = 2;
-    options.frame_threads = 3;
     options.queue_chunks = 2;
     EXPECT_THROW((void)core::ingest_mrt_sources(
                      {core::MrtSource{"C1", &in_a},
@@ -299,6 +298,24 @@ TEST(MrtRobustness, MissingFileAndNullStream) {
   EXPECT_THROW((void)core::ingest_mrt_sources(
                    {core::MrtSource{"C1", nullptr}}),
                ConfigError);
+
+  // Sources open lazily, as framing reaches them: a missing file behind a
+  // good archive fails the finish() that reaches it, and poisons the
+  // ingestor.
+  std::string good;
+  for (int i = 0; i < 8; ++i) good += good_record();
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::IngestOptions options;
+    options.num_threads = threads;
+    options.window_records = 0;
+    std::istringstream in(good);
+    core::StreamingIngestor engine(options);
+    engine.add_stream("C1", in);
+    engine.add_file("C2", "/nonexistent/bgpcc/archive.mrt");
+    EXPECT_THROW((void)engine.finish(), DecodeError);
+    EXPECT_THROW((void)engine.finish(), ConfigError);
+  }
 }
 
 TEST(MrtRobustness, EmptyArchiveIsCleanEof) {
