@@ -8,10 +8,55 @@
 #include <utility>
 
 #include "analytics/serialize.h"
+#include "core/worker_pool.h"
 #include "netbase/error.h"
 #include "obs/pipeline_metrics.h"
 
 namespace bgpcc::analytics {
+
+namespace detail {
+
+obs::Histogram* report_histogram(std::size_t pass_index) {
+  return obs::enabled() ? &obs::pass_report_histogram(pass_index) : nullptr;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// states[shard][pass], as AnalysisDriver keeps them.
+using ShardStates = std::vector<std::vector<std::unique_ptr<detail::AnyState>>>;
+
+/// The one merge routine behind snapshot() and the finalize: folds
+/// shards 1..N-1 into shard 0, one pool job per pass, each merging in
+/// shard order — the grouping every merged view has always used, so a
+/// snapshot and the finale agree byte for byte. Each merged-from state
+/// is freed as soon as it is folded in. `side`, when set, runs as one
+/// more job beside the merges. Returns shard 0's row: the merged states.
+std::vector<std::unique_ptr<detail::AnyState>> merge_shards(
+    core::WorkerPool& pool, ShardStates shards,
+    const std::function<void()>& side = {}) {
+  obs::StageTimer merge_timer(obs::pipeline_metrics().analysis_snapshot_merge);
+  const std::size_t passes = shards.front().size();
+  const std::size_t first_pass = side ? 1 : 0;
+  pool.parallel_for(first_pass + passes, [&](std::size_t job) {
+    if (job < first_pass) {
+      side();
+      return;
+    }
+    const std::size_t p = job - first_pass;
+    obs::Histogram* hist =
+        obs::enabled() ? &obs::pass_merge_histogram(p) : nullptr;
+    for (std::size_t s = 1; s < shards.size(); ++s) {
+      obs::StageTimer pass_timer(hist);
+      shards.front()[p]->merge(std::move(*shards[s][p]));
+      shards[s][p].reset();
+    }
+  });
+  return std::move(shards.front());
+}
+
+}  // namespace
 
 const detail::AnyState& ReportSnapshot::state_at(std::size_t index,
                                                  const void* owner) const {
@@ -75,6 +120,7 @@ void AnalysisDriver::attach(core::IngestOptions& options) {
         " shard states — use matching IngestOptions across runs");
   }
   shard_slots_ = resolved;
+  pool_workers_ = core::resolve_threads(options.num_threads) - 1;
   ensure_states();
   options.shard_observer = [this](std::size_t shard,
                                   const std::vector<core::SeqRecord>&
@@ -161,11 +207,12 @@ ReportSnapshot AnalysisDriver::snapshot() {
   const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
   obs::StageTimer snapshot_timer(metrics.analysis_snapshot);
   metrics.analysis_snapshots->inc();
+  core::WorkerPool pool(pool_workers_.load(std::memory_order_relaxed));
   // Phase 1, under the committed-window barrier: clone every per-shard
-  // state. Clones are cheap deep copies (the Pass snapshot contract), so
-  // the lock is held O(state size) — ingestion stalls at the next window
-  // boundary at most that long.
-  std::vector<std::vector<std::unique_ptr<detail::AnyState>>> clones;
+  // state, one pool job per shard. Clones are cheap deep copies (the
+  // Pass snapshot contract), so the lock is held O(state size / threads)
+  // — ingestion stalls at the next window boundary at most that long.
+  ShardStates clones;
   std::uint64_t epoch = 0;
   {
     obs::StageTimer clone_timer(metrics.analysis_snapshot_clone);
@@ -173,51 +220,51 @@ ReportSnapshot AnalysisDriver::snapshot() {
     if (finalized_) throw_finalized("snapshot()");
     ensure_states();  // snapshot before any observation: empty states
     epoch = ++epochs_;
-    clones.reserve(states_.size());
-    for (const auto& shard : states_) {
-      std::vector<std::unique_ptr<detail::AnyState>> copies;
-      copies.reserve(shard.size());
-      for (const auto& state : shard) copies.push_back(state->clone());
-      clones.push_back(std::move(copies));
-    }
+    clones.resize(states_.size());
+    pool.parallel_for(states_.size(), [&](std::size_t s) {
+      clones[s].reserve(states_[s].size());
+      for (const auto& state : states_[s]) clones[s].push_back(state->clone());
+    });
   }
   metrics.analysis_epoch->set(static_cast<std::int64_t>(epoch));
-  // Phase 2, outside the lock: merge the clones in shard order 0..N-1 —
-  // the exact grouping the legacy finalize used, so a snapshot is
-  // byte-identical to the report() of a run truncated here.
+  // Phase 2, outside the lock: merge the clones — the finalize's merge
+  // routine, so a snapshot is byte-identical to the report() of a run
+  // truncated here.
   auto data = std::make_shared<ReportSnapshot::Data>();
   data->owner = this;
   data->epoch = epoch;
-  data->states = std::move(clones.front());
-  {
-    obs::StageTimer merge_timer(metrics.analysis_snapshot_merge);
-    std::vector<obs::Histogram*> pass_hist;
-    if (obs::enabled()) {
-      pass_hist.reserve(passes_.size());
-      for (std::size_t p = 0; p < passes_.size(); ++p) {
-        pass_hist.push_back(&obs::pass_merge_histogram(p));
-      }
-    }
-    for (std::size_t s = 1; s < clones.size(); ++s) {
-      for (std::size_t p = 0; p < passes_.size(); ++p) {
-        obs::StageTimer pass_timer(pass_hist.empty() ? nullptr : pass_hist[p]);
-        data->states[p]->merge(std::move(*clones[s][p]));
-      }
-    }
-  }
+  data->states = merge_shards(pool, std::move(clones));
   return ReportSnapshot(std::move(data));
 }
 
-void AnalysisDriver::finalize() {
-  if (finalized_) return;
-  // report() IS a snapshot whose result is adopted as the final state —
-  // merge grouping and order are identical, so output bytes are too.
-  ReportSnapshot last = snapshot();
+const ReportSnapshot::Data& AnalysisDriver::finalize() {
+  // The barrier is held for the whole finalize: a concurrent
+  // report()/save_state() waits here and then finds final_ complete, and
+  // a racing snapshot() either ran first or throws ConfigError after.
   std::lock_guard<std::mutex> lock(window_mutex_);
-  final_ = std::move(last);
-  states_.clear();
-  cursors_.clear();
-  finalized_ = true;
+  if (!finalized_) {
+    // Set first: once the states are moved out there is nothing live to
+    // fall back to, even if a merge throws.
+    finalized_ = true;
+    ensure_states();  // report before any observation: empty states
+    ShardStates states = std::move(states_);
+    std::vector<core::Classifier> cursors = std::move(cursors_);
+    auto data = std::make_shared<ReportSnapshot::Data>();
+    data->owner = this;
+    core::WorkerPool pool(pool_workers_.load(std::memory_order_relaxed));
+    // Snapshots and reports never read the cursor tables: free them on
+    // the pool beside the merges.
+    data->states = merge_shards(pool, std::move(states), [&cursors] {
+      std::vector<core::Classifier>().swap(cursors);
+    });
+    final_ = ReportSnapshot(std::move(data));
+  }
+  if (!final_) {
+    throw ConfigError(
+        "AnalysisDriver: an earlier report()/save_state() failed while "
+        "merging the shard states — build a fresh driver for a new run");
+  }
+  return *final_.data_;
 }
 
 const detail::AnyState& AnalysisDriver::finalized_state(std::size_t index,
@@ -226,8 +273,7 @@ const detail::AnyState& AnalysisDriver::finalized_state(std::size_t index,
     throw ConfigError(
         "AnalysisDriver: report() with a handle this driver did not issue");
   }
-  finalize();
-  return *final_.data_->states[index];
+  return *finalize().states[index];
 }
 
 // ---------------------------------------------------------------------------
@@ -293,11 +339,11 @@ void AnalysisDriver::check_tags(serialize::Reader& r) const {
 }
 
 void AnalysisDriver::save_state(std::ostream& out) {
-  finalize();
+  const ReportSnapshot::Data& merged = finalize();
   serialize::Writer w(out);
   serialize::write_block_header(w, serialize::BlockKind::kPartialState);
   write_tags(w);
-  for (const auto& state : final_.data_->states) write_state_blob(w, *state);
+  for (const auto& state : merged.states) write_state_blob(w, *state);
   out.flush();
   if (!out) throw DecodeError("save_state: output stream failed on flush");
 }

@@ -40,8 +40,18 @@
 //   }
 //   ingestor.finish();
 //   auto final_shares = driver.report(types);    // byte-identical finale
+//
+// Finalizing (the first report()/save_state()) copies nothing: it moves
+// the per-shard states out and merges them in place with the same
+// per-pass merge routine snapshot() uses — one pool job per pass, shards
+// folded in shard order, each merged-from state freed as soon as it is
+// folded in — so a finale is byte-identical to a snapshot taken just
+// before it. Both merges run on a pool sized by the thread count
+// attach() resolved; sink/observe drivers and single-thread runs merge
+// inline on the calling thread.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,8 +64,16 @@
 
 #include "analytics/pass.h"
 #include "core/ingest.h"
+#include "obs/metrics.h"
 
 namespace bgpcc::analytics {
+
+namespace detail {
+/// The per-pass report timer's histogram
+/// (obs::pass_report_histogram) while stage timing is on, else nullptr,
+/// so a report() with metrics off never touches the registry.
+[[nodiscard]] obs::Histogram* report_histogram(std::size_t pass_index);
+}  // namespace detail
 
 /// An immutable, epoch-numbered view of every pass's state at one
 /// committed-window boundary, produced by AnalysisDriver::snapshot()
@@ -75,6 +93,7 @@ class ReportSnapshot {
   template <Pass P>
   [[nodiscard]] ReportOf<P> report(PassHandle<P> handle) const {
     const detail::AnyState& state = state_at(handle.index_, handle.owner_);
+    obs::StageTimer timer(detail::report_histogram(handle.index_));
     return static_cast<const detail::StateModel<P>&>(state).state().report();
   }
 
@@ -163,8 +182,9 @@ class AnalysisDriver {
 
   /// Takes an immutable, epoch-numbered snapshot of every pass's state
   /// WITHOUT finalizing: clones all per-shard states under the
-  /// committed-window barrier, then merges the clones off to the side
-  /// (the driver's own states are never touched beyond the copy).
+  /// committed-window barrier (one pool job per shard), then merges the
+  /// clones off to the side, one pool job per pass (the driver's own
+  /// states are never touched beyond the copy).
   /// Ingestion may continue afterwards; the snapshot equals what
   /// report() would return on an independent run truncated at the same
   /// committed window, byte for byte. Safe to call from a thread other
@@ -175,15 +195,19 @@ class AnalysisDriver {
   [[nodiscard]] ReportSnapshot snapshot();
 
   /// Merges all partial states and projects the pass's report. The first
-  /// report() call finalizes the driver — internally a snapshot() whose
-  /// result is adopted as the final state, so report-after-snapshots is
-  /// byte-identical to report-without-snapshots. Further observation
-  /// throws ConfigError (the merged states can no longer absorb
-  /// records); reports stay redeemable any number of times.
+  /// report() call finalizes the driver: under the committed-window
+  /// barrier it moves the per-shard states out and merges them in place
+  /// with snapshot()'s per-pass merge routine (same grouping, no clone),
+  /// so report-after-snapshots is byte-identical to
+  /// report-without-snapshots and to a snapshot() taken just before.
+  /// Concurrent callers are safe: one finalizes, the others wait for it.
+  /// Further observation throws ConfigError (the merged states can no
+  /// longer absorb records); reports stay redeemable any number of times.
   template <Pass P>
   [[nodiscard]] ReportOf<P> report(PassHandle<P> handle) {
     const detail::AnyState& state =
         finalized_state(handle.index_, handle.owner_);
+    obs::StageTimer timer(detail::report_histogram(handle.index_));
     return static_cast<const detail::StateModel<P>&>(state).state().report();
   }
 
@@ -250,8 +274,9 @@ class AnalysisDriver {
   void observe_record(const core::UpdateRecord& record);
   /// Uniform use-after-finalize error, naming the offending call.
   [[noreturn]] void throw_finalized(const char* call) const;
-  /// Adopts a final snapshot and clears the live states (idempotent).
-  void finalize();
+  /// Moves the live states out and merges them into final_ on the first
+  /// call; returns the merged states (idempotent, thread-safe).
+  const ReportSnapshot::Data& finalize();
   [[nodiscard]] const detail::AnyState& finalized_state(std::size_t index,
                                                         const void* owner);
   void write_tags(serialize::Writer& w) const;
@@ -261,6 +286,12 @@ class AnalysisDriver {
   void restore_impl(std::istream& in, core::StreamingIngestor* ingestor);
 
   std::vector<std::unique_ptr<detail::AnyPass>> passes_;
+  /// Worker threads of the pool snapshot() and finalize() merge on: the
+  /// thread count attach() resolved (core::resolve_threads) minus the
+  /// calling thread, which helps. 0 — merge inline — for sink/observe
+  /// drivers and one-thread runs. Atomic: snapshot() sizes its pool
+  /// before taking the barrier.
+  std::atomic<unsigned> pool_workers_{0};
   /// How many shard slots ensure_states() mints: attach() pins it to the
   /// ingestion run's resolved shard count, restore_impl() to the
   /// checkpoint's. Defaults to core::kIngestShards for the sink/observe
@@ -280,11 +311,13 @@ class AnalysisDriver {
   /// observer phase of each window (attach() wires window_begin /
   /// window_commit to lock/unlock), by snapshot() while cloning, and by
   /// the sink/observe paths while folding records in. Everything the
-  /// barrier guards is the states_ matrix + the lifecycle flags.
+  /// barrier guards is the states_ matrix + the lifecycle flags. The
+  /// finalize holds it throughout, so nothing observes final_ half-built.
   mutable std::mutex window_mutex_;
   /// Epochs handed out by snapshot(); process-local, never serialized.
   std::uint64_t epochs_ = 0;
-  /// The finalizing snapshot adopted by the first report()/save_state().
+  /// The merged states built by the first report()/save_state(); empty
+  /// if that finalize failed part-way.
   ReportSnapshot final_;
   bool finalized_ = false;
 };

@@ -32,7 +32,11 @@
 // perturb the original. Value-semantic members (maps, vectors, sets,
 // counters) get this for free; keep copies cheap (O(state size), no
 // I/O), because a clone runs under the committed-window barrier while
-// ingestion waits.
+// ingestion waits. The finalizing report() never copies: it moves the
+// per-shard states out and merges them in place with the same per-pass
+// routine, so merge(State&&) may consume its argument and different
+// passes' states merge concurrently on a pool (one thread per pass at a
+// time) — a State must not share mutable structure across passes.
 #pragma once
 
 #include <concepts>

@@ -173,9 +173,7 @@ void ExplorationPass::State::merge(State&& other) {
 
 ExplorationPass::Report ExplorationPass::State::report() const {
   Report events = events_;
-  // Flush still-active runs on copies: report() is const and repeatable.
-  core::ExplorationRuns active = runs_;
-  core::flush_exploration(active, events);
+  core::append_active_exploration(runs_, events);
   core::sort_exploration_events(events);
   return events;
 }

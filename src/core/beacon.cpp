@@ -191,9 +191,13 @@ void observe_exploration(const UpdateRecord& record,
   run.communities = record.attrs.communities;
 }
 
-void flush_exploration(ExplorationRuns& runs,
-                       std::vector<ExplorationEvent>& events) {
-  for (auto& [key, run] : runs) finish_run(run, events);
+void append_active_exploration(const ExplorationRuns& runs,
+                               std::vector<ExplorationEvent>& events) {
+  for (const auto& [key, run] : runs) {
+    if (!run.active || run.current.nc_count < 2) continue;
+    ExplorationEvent& event = events.emplace_back(run.current);
+    event.distinct_attributes = static_cast<int>(run.attrs_seen.size());
+  }
 }
 
 void sort_exploration_events(std::vector<ExplorationEvent>& events) {
@@ -218,7 +222,7 @@ std::vector<ExplorationEvent> find_community_exploration(
   // End-of-stream flush walks the run map in key order, NOT in time
   // order like the mid-stream finishes — the sort restores the single
   // deterministic output order.
-  flush_exploration(runs, events);
+  append_active_exploration(runs, events);
   sort_exploration_events(events);
   return events;
 }

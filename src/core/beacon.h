@@ -136,9 +136,11 @@ void observe_exploration(const UpdateRecord& record,
                          const BeaconSchedule& schedule, ExplorationRuns& runs,
                          std::vector<ExplorationEvent>& events);
 
-/// Flushes still-active runs at end of stream into `events`.
-void flush_exploration(ExplorationRuns& runs,
-                       std::vector<ExplorationEvent>& events);
+/// Appends the event every still-active run would end with (>= 2 nc
+/// announcements so far) to `events`, in run-map order, leaving `runs`
+/// untouched: the end-of-stream flush, repeatable on a live run map.
+void append_active_exploration(const ExplorationRuns& runs,
+                               std::vector<ExplorationEvent>& events);
 
 /// The deterministic output order: (begin, session, prefix), with end /
 /// nc_count tie-breaks for pathological equal-timestamp streams. Mid- and

@@ -52,12 +52,6 @@ constexpr std::uint64_t seq_base(std::uint32_t file, std::uint32_t chunk) {
          (static_cast<std::uint64_t>(chunk) << kChunkSeqShift);
 }
 
-unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 std::size_t resolve_chunk_records(const IngestOptions& options) {
   return options.chunk_records == 0 ? 1 : options.chunk_records;
 }
@@ -695,6 +689,12 @@ class RunStore {
 };
 
 }  // namespace
+
+unsigned resolve_threads(unsigned requested) {
+  if (requested != 0) return requested;
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 std::size_t resolve_shard_count(const IngestOptions& options) {
   if (options.shards != 0) {

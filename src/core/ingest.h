@@ -155,6 +155,12 @@ struct IngestOptions {
   std::function<void()> window_commit;
 };
 
+/// The thread count an engine built with IngestOptions::num_threads =
+/// `requested` will use: `requested` verbatim, 0 meaning
+/// std::thread::hardware_concurrency() (1 when that is unknown).
+/// Exposed so inline analytics size their finalize pool identically.
+[[nodiscard]] unsigned resolve_threads(unsigned requested);
+
 /// The shard count an engine built from `options` will use: an explicit
 /// IngestOptions::shards verbatim (ConfigError above kMaxIngestShards),
 /// else kIngestShards doubled until it covers the resolved thread count.
@@ -373,6 +379,12 @@ struct MrtSource {
 /// ingest_mrt_sources, so every IngestOptions knob (windows, spilling,
 /// pipelining) applies. Collector order defines the arrival-sequence
 /// bases (and so the deterministic interleaving of equal timestamps).
+///
+/// The archive round trip is the BGP codec's, so two recorded inputs
+/// come back changed: an IPv6 prefix announced with an IPv4 next hop
+/// (also the IPv4 records of a dual-stack UPDATE) returns with the next
+/// hop v4-mapped (192.0.2.1 → ::ffff:c000:201), and an UPDATE that
+/// encodes to more than 4096 bytes raises DecodeError naming its size.
 [[nodiscard]] IngestResult ingest_collectors(
     const std::vector<const sim::RouteCollector*>& collectors,
     const IngestOptions& options = {});

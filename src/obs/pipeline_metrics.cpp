@@ -108,7 +108,14 @@ const PipelineMetrics& pipeline_metrics() {
 Histogram& pass_merge_histogram(std::size_t pass_index) {
   return Registry::global().histogram(
       "bgpcc_analysis_pass_merge_seconds",
-      "Per-pass snapshot merge wall time, seconds",
+      "Per-pass shard merge wall time (snapshot and finalize), seconds",
+      default_duration_buckets(), {{"pass", std::to_string(pass_index)}});
+}
+
+Histogram& pass_report_histogram(std::size_t pass_index) {
+  return Registry::global().histogram(
+      "bgpcc_analysis_pass_report_seconds",
+      "Per-pass report projection wall time, seconds",
       default_duration_buckets(), {{"pass", std::to_string(pass_index)}});
 }
 

@@ -103,7 +103,7 @@ struct PipelineMetrics {
   /// under-lock clone phase of snapshot().
   Histogram* analysis_snapshot_clone;
   /// bgpcc_analysis_stage_seconds{stage="snapshot_merge"}: the
-  /// outside-lock merge phase of snapshot().
+  /// per-pass merge phase of snapshot() and of the finalizing report().
   Histogram* analysis_snapshot_merge;
   /// bgpcc_analysis_stage_seconds{stage="checkpoint"}: serializing a
   /// checkpoint (driver state + ingest cursor).
@@ -126,11 +126,17 @@ struct PipelineMetrics {
 /// Registry::global() on first use (thread-safe).
 [[nodiscard]] const PipelineMetrics& pipeline_metrics();
 
-/// Per-pass snapshot-merge timing series,
+/// Per-pass shard-merge timing series (snapshot() and the finalize),
 /// bgpcc_analysis_pass_merge_seconds{pass="<index>"} where `<index>`
 /// is the pass's registration order in its AnalysisDriver. Registered
 /// on demand; cheap enough for per-snapshot use, not for per-record
 /// paths.
 [[nodiscard]] Histogram& pass_merge_histogram(std::size_t pass_index);
+
+/// Per-pass report projection timing series,
+/// bgpcc_analysis_pass_report_seconds{pass="<index>"}: one observation
+/// per report() redeemed from an AnalysisDriver or a ReportSnapshot,
+/// indexed like pass_merge_histogram. Registered on demand.
+[[nodiscard]] Histogram& pass_report_histogram(std::size_t pass_index);
 
 }  // namespace bgpcc::obs

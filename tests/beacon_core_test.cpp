@@ -254,6 +254,44 @@ TEST(CommunityExploration, EndOfStreamFlushIsSortedByBeginTime) {
   EXPECT_EQ(events[0].distinct_attributes, 3);
 }
 
+// The end-of-stream flush is a const walk: ExplorationPass::report()
+// projects still-active runs without copying or closing them, so the
+// same runs keep growing after a report.
+TEST(CommunityExploration, ActiveRunsAppendWithoutConsumingTheRuns) {
+  BeaconSchedule schedule;
+  ExplorationRuns runs;
+  std::vector<ExplorationEvent> events;
+  for (int i = 0; i < 3; ++i) {
+    observe_exploration(
+        record_at(at(2, i), "1 2 3",
+                  "3356:" + std::to_string(2000 + i)),
+        schedule, runs, events);
+  }
+  ASSERT_TRUE(events.empty());  // the run is still open
+
+  std::vector<ExplorationEvent> first;
+  append_active_exploration(runs, first);
+  std::vector<ExplorationEvent> second;
+  append_active_exploration(runs, second);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first[0].nc_count, 2);
+  EXPECT_EQ(first[0].distinct_attributes, 3);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_TRUE(runs.begin()->second.active);
+  EXPECT_EQ(runs.begin()->second.attrs_seen.size(), 3u);
+
+  // The run was not closed: one more nc extends the same event.
+  observe_exploration(record_at(at(2, 3), "1 2 3", "3356:2003"), schedule,
+                      runs, events);
+  std::vector<ExplorationEvent> extended;
+  append_active_exploration(runs, extended);
+  ASSERT_EQ(extended.size(), 1u);
+  EXPECT_EQ(extended[0].begin, first[0].begin);
+  EXPECT_EQ(extended[0].nc_count, 3);
+  EXPECT_EQ(extended[0].distinct_attributes, 4);
+}
+
 TEST(RouteSeries, FiltersByPathAndCollectsWithdrawals) {
   UpdateStream stream;
   stream.add(record_at(at(0, 1), "20205 3356 174 12654", "3356:2001"));

@@ -21,6 +21,7 @@
 #include "core/registry.h"
 #include "core/stream.h"
 #include "mrt/mrt.h"
+#include "netbase/error.h"
 #include "sim/collector.h"
 #include "test_dir.h"
 
@@ -452,6 +453,53 @@ TEST(IngestDifferential, CollectorsMatchArchives) {
         EXPECT_GT(direct.stats.windows, 1u);
       }
     }
+  }
+}
+
+// Simulated logs reach the engine as in-memory archives, so they take the
+// archive codec's round trip. Two inputs come back changed, by design of
+// the codec rather than of the simulator: an IPv6 prefix announced with
+// an IPv4 next hop returns with the next hop v4-mapped, and an UPDATE
+// over the 4096-byte BGP cap is refused with DecodeError naming its size.
+TEST(IngestDifferential, CollectorArchiveRoundTripEdges) {
+  Timestamp base = Timestamp::from_unix_seconds(1600000000);
+  PathAttributes attrs;
+  attrs.as_path = AsPath::sequence({65001, 65100});
+  attrs.next_hop = IpAddress::from_string("192.0.2.1");
+
+  sim::RouteCollector v6("rrc00", Asn(64512),
+                         IpAddress::from_string("203.0.113.1"));
+  UpdateMessage announce;
+  announce.announced.push_back(Prefix::from_string("2001:db8:100::/48"));
+  announce.attrs = attrs;
+  v6.record(base, 0, Asn(65001), IpAddress::from_string("2001:db8::1"),
+            announce);
+  IngestResult result = ingest_collectors({&v6});
+  ASSERT_EQ(result.stream.size(), 1u);
+  const UpdateRecord& record = result.stream.records().front();
+  EXPECT_EQ(record.prefix, Prefix::from_string("2001:db8:100::/48"));
+  EXPECT_EQ(record.attrs.next_hop, IpAddress::from_string("::ffff:c000:201"));
+
+  sim::RouteCollector heavy("rrc01", Asn(64513),
+                            IpAddress::from_string("203.0.113.2"));
+  UpdateMessage oversized;
+  oversized.announced.push_back(Prefix::from_string("198.51.100.0/24"));
+  oversized.attrs = attrs;
+  for (std::uint16_t i = 0; i < 1200; ++i) {
+    oversized.attrs->communities.add(Community::of(64500, i));
+  }
+  heavy.record(base, 0, Asn(65001), IpAddress::from_string("10.0.0.1"),
+               oversized);
+  try {
+    (void)ingest_collectors({&heavy});
+    ADD_FAILURE() << "an UPDATE over 4096 bytes ingested";
+  } catch (const DecodeError& e) {
+    const std::string what = e.what();
+    const std::string lead = "exceeds 4096 bytes: ";
+    const std::size_t at = what.find(lead);
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_GT(std::stoul(what.substr(at + lead.size())), kBgpMaxMessageSize)
+        << what;
   }
 }
 

@@ -263,6 +263,7 @@ TEST(ObsPipelineMetrics, EveryInstrumentIsRegisteredEagerly) {
   ASSERT_NE(m.pool_queue_wait, nullptr);
   ASSERT_NE(m.analysis_epoch, nullptr);
   EXPECT_EQ(&pass_merge_histogram(2), &pass_merge_histogram(2));
+  EXPECT_EQ(&pass_report_histogram(2), &pass_report_histogram(2));
 
   // Eager registration: an exposition taken before any pipeline ran
   // already names every stage, zero-valued — the contract --follow
@@ -281,6 +282,33 @@ TEST(ObsPipelineMetrics, EveryInstrumentIsRegisteredEagerly) {
         "bgpcc_pool_queue_wait_seconds_count"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
+}
+
+// One observation per redeemed report, from the driver and from a
+// snapshot alike, and none while the gate is off.
+TEST(ObsPipelineMetrics, PassReportSeriesTimesEveryProjection) {
+  analytics::AnalysisDriver driver;
+  auto types = driver.add(analytics::ClassifierPass{});
+  auto comms = driver.add(analytics::CommunityStatsPass{});
+  Histogram& types_hist = pass_report_histogram(0);
+  Histogram& comms_hist = pass_report_histogram(1);
+  const std::uint64_t types_before = types_hist.count();
+  const std::uint64_t comms_before = comms_hist.count();
+  analytics::ReportSnapshot snap = driver.snapshot();
+  {
+    EnabledGuard off(false);
+    (void)snap.report(types);
+    (void)driver.report(types);
+  }
+  EXPECT_EQ(types_hist.count(), types_before);
+  {
+    EnabledGuard on(true);
+    (void)snap.report(types);
+    (void)driver.report(types);
+    (void)driver.report(comms);
+  }
+  EXPECT_EQ(types_hist.count(), types_before + 2);
+  EXPECT_EQ(comms_hist.count(), comms_before + 1);
 }
 
 // ---------------------------------------------------------------------

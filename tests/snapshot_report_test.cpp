@@ -18,6 +18,10 @@
 //   - checkpoint() after snapshot() is byte-identical to one taken on a
 //     never-snapshotted run (the epoch counter and snapshot buffers
 //     never leak into the wire codec) and resumes exactly.
+//   - the finalize (report()/save_state() merging the moved-out shard
+//     states on a pool) yields the same bytes for every thread and shard
+//     count, equal to a snapshot() taken just before it; concurrent
+//     report() callers and a snapshot() racing the finalize are safe.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -408,6 +412,95 @@ TEST(SnapshotReport, CheckpointAfterSnapshotIsByteIdenticalAndResumes) {
   resumed->driver.restore(in, *resumed->engine);
   (void)resumed->engine->finish();
   EXPECT_EQ(collect(resumed->driver, resumed->handles), expected);
+}
+
+TEST(SnapshotReport, FinalizeIsIdenticalForEveryThreadAndShardCount) {
+  Fixture fixture;
+  std::string reference_bytes;
+  AllReports reference;
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (std::size_t shards : {std::size_t{0}, std::size_t{1},
+                               std::size_t{5}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shards=" + std::to_string(shards));
+      IngestOptions opt = fixture.options();
+      opt.num_threads = threads;
+      opt.shards = shards;
+      auto run = fixture.start(opt);
+      (void)run->engine->finish();
+      AllReports before = collect(run->driver.snapshot(), run->handles);
+      AllReports reports = collect(run->driver, run->handles);  // finalizes
+      std::ostringstream bytes;
+      run->driver.save_state(bytes);
+      EXPECT_EQ(reports, before);
+      if (reference_bytes.empty()) {
+        reference_bytes = bytes.str();
+        reference = reports;
+        ASSERT_FALSE(reference_bytes.empty());
+      }
+      EXPECT_EQ(bytes.str(), reference_bytes);
+      EXPECT_EQ(reports, reference);
+    }
+  }
+}
+
+TEST(SnapshotReport, ConcurrentReportsFinalizeOnce) {
+  Fixture fixture;
+  IngestOptions opt = fixture.options();
+  opt.num_threads = 4;
+  auto reference = fixture.start(opt);
+  (void)reference->engine->finish();
+  const AllReports expected = collect(reference->driver, reference->handles);
+
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    auto run = fixture.start(opt);
+    (void)run->engine->finish();
+    AllReports first;
+    AllReports second;
+    std::atomic<bool> go{false};
+    std::thread other([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      second = collect(run->driver, run->handles);
+    });
+    go.store(true, std::memory_order_release);
+    first = collect(run->driver, run->handles);
+    other.join();
+    EXPECT_EQ(first, expected);
+    EXPECT_EQ(second, expected);
+  }
+}
+
+TEST(SnapshotReport, SnapshotRacingFinalizeIsWholeOrRefused) {
+  Fixture fixture;
+  IngestOptions opt = fixture.options();
+  opt.num_threads = 4;
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    auto run = fixture.start(opt);
+    (void)run->engine->finish();
+    std::atomic<bool> started{false};
+    std::vector<AllReports> whole;
+    std::size_t refused = 0;
+    std::thread snapshotter([&] {
+      for (;;) {
+        try {
+          ReportSnapshot snap = run->driver.snapshot();
+          whole.push_back(collect(snap, run->handles));
+        } catch (const ConfigError&) {
+          ++refused;
+          return;  // finalized: every later snapshot() refuses too
+        }
+        started.store(true, std::memory_order_release);
+      }
+    });
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    const AllReports final_reports = collect(run->driver, run->handles);
+    snapshotter.join();
+    EXPECT_EQ(refused, 1u);
+    ASSERT_FALSE(whole.empty());
+    for (const AllReports& reports : whole) EXPECT_EQ(reports, final_reports);
+  }
 }
 
 TEST(SnapshotReport, SnapshotOutlivesDriverAndValidatesHandles) {
