@@ -97,7 +97,9 @@ CleaningReport run(std::vector<SeqRecord>& records,
     sort_seq_records(records);
     report.timestamps_adjusted =
         fix_second_granularity(records, options.sub_second_step, carry);
-    sort_seq_records(records);
+    // Spacing moves stamps forward, possibly past other sessions'
+    // records; when nothing moved, the order still holds.
+    if (report.timestamps_adjusted > 0) sort_seq_records(records);
   }
   return report;
 }

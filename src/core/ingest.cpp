@@ -62,19 +62,6 @@ std::size_t resolve_queue_capacity(const IngestOptions& options,
                                    : std::max<std::size_t>(4, 2 * threads);
 }
 
-// Runs body(0..jobs-1) on the persistent pool (workers and caller pull
-// job indices from a shared counter; the first exception is rethrown on
-// the caller, and unclaimed jobs are never started once one throws).
-// Inline when there is no pool or only one job.
-void run_parallel(WorkerPool* pool, std::size_t jobs,
-                  const std::function<void(std::size_t)>& body) {
-  if (pool == nullptr || jobs <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) body(i);
-    return;
-  }
-  pool->parallel_for(jobs, body);
-}
-
 /// One framed batch in flight between the framer stage and the decode
 /// pool, tagged with its deterministic arrival coordinate.
 struct FramedChunk {
@@ -160,33 +147,24 @@ DecodedChunk decode_mrt_chunk(const std::string& collector,
   return out;
 }
 
-bool seq_only_order(const SeqRecord& a, const SeqRecord& b) {
-  return a.seq < b.seq;
-}
+// A sorted in-memory run: a shard's range [cur, end) or a stored window.
+struct SpanRun {
+  SeqRecord* cur;
+  SeqRecord* end;
+  SeqRecord* head() { return cur != end ? cur : nullptr; }
+  void advance() { ++cur; }
+};
 
-// Merges one output partition: a k-way tournament (winner tree, runs
-// padded to a power of two) over the per-shard ranges [lo, hi), moving
-// each record straight into its final slot. cmp is a strict total order
-// (seq is globally unique), so the merge — and every partitioning of it —
-// is deterministic. Out is UpdateRecord when the sole window merges
-// straight into the output stream (seq tags are spent) or SeqRecord for
-// stored window runs (the final run-merge still needs the tie-break).
-template <typename Out>
-void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
-                     const std::vector<std::size_t>& lo,
-                     const std::vector<std::size_t>& hi,
-                     bool (*cmp)(const SeqRecord&, const SeqRecord&),
-                     Out* out) {
+// The engine's one k-way merge: a tournament (winner tree, runs padded to
+// a power of two) over any runs that expose head() — the current record,
+// null once exhausted — and advance(). Each head reaches emit in
+// seq_time_order, which emit may move from before its run advances. The
+// order is strict and total (seq is globally unique), so the merge — and
+// every partitioning of it — is deterministic.
+template <typename Run, typename Emit>
+void tournament_merge(std::vector<Run>& runs, Emit&& emit) {
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t k = shards.size();
-  struct Run {
-    SeqRecord* cur;
-    SeqRecord* end;
-  };
-  std::vector<Run> runs(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    runs[s] = Run{shards[s].data() + lo[s], shards[s].data() + hi[s]};
-  }
+  const std::size_t k = runs.size();
   std::size_t m = 1;
   while (m < k) m <<= 1;
   // node[i] (1 <= i < m): run winning the subtree; leaves m..2m-1 map to
@@ -194,12 +172,12 @@ void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
   std::vector<std::size_t> node(m, npos);
   auto leaf_run = [&](std::size_t leaf) {
     std::size_t r = leaf - m;
-    return (r < k && runs[r].cur != runs[r].end) ? r : npos;
+    return (r < k && runs[r].head() != nullptr) ? r : npos;
   };
   auto play = [&](std::size_t a, std::size_t b) {
     if (a == npos) return b;
     if (b == npos) return a;
-    return cmp(*runs[a].cur, *runs[b].cur) ? a : b;
+    return seq_time_order(*runs[a].head(), *runs[b].head()) ? a : b;
   };
   auto child_winner = [&](std::size_t child) {
     return child >= m ? leaf_run(child) : node[child];
@@ -210,16 +188,35 @@ void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
   for (;;) {
     std::size_t w = m == 1 ? leaf_run(m) : node[1];
     if (w == npos) break;
-    if constexpr (std::is_same_v<Out, SeqRecord>) {
-      *out++ = std::move(*runs[w].cur);
-    } else {
-      *out++ = std::move(runs[w].cur->record);
-    }
-    ++runs[w].cur;
+    emit(*runs[w].head());
+    runs[w].advance();
     for (std::size_t i = (m + w) / 2; i >= 1; i /= 2) {
       node[i] = play(child_winner(2 * i), child_winner(2 * i + 1));
     }
   }
+}
+
+// Merges one output partition, the per-shard ranges [lo, hi), moving each
+// record straight into its final slot. Out is UpdateRecord when the sole
+// window merges straight into the output stream (seq tags are spent) or
+// SeqRecord for stored window runs (the final run-merge still needs the
+// tie-break).
+template <typename Out>
+void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
+                     const std::vector<std::size_t>& lo,
+                     const std::vector<std::size_t>& hi, Out* out) {
+  std::vector<SpanRun> runs;
+  runs.reserve(shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    runs.push_back(SpanRun{shards[s].data() + lo[s], shards[s].data() + hi[s]});
+  }
+  tournament_merge(runs, [&](SeqRecord& head) {
+    if constexpr (std::is_same_v<Out, SeqRecord>) {
+      *out++ = std::move(head);
+    } else {
+      *out++ = std::move(head.record);
+    }
+  });
 }
 
 // Don't split the merge finer than this: below it, partitioning overhead
@@ -227,18 +224,16 @@ void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
 constexpr std::size_t kMinRecordsPerMergePartition = 1024;
 
 // The parallel k-way merge. Requires each shard run already sorted by
-// the merge order (gather_and_clean guarantees it — sorting lives there
+// seq_time_order (gather_and_clean guarantees it — sorting lives there
 // so the inline-analytics observer and the merge share ONE sort instead
 // of each paying their own); cuts the output into `threads` balanced
 // partitions with splitters drawn from the largest run, then
 // tournament-merges every partition concurrently into its preallocated
 // output slice.
 template <typename Out>
-void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
-                    WorkerPool* pool, unsigned threads, std::vector<Out>& out) {
+void parallel_merge(std::vector<std::vector<SeqRecord>>& shards,
+                    WorkerPool& pool, unsigned threads, std::vector<Out>& out) {
   obs::StageTimer merge_timer(obs::pipeline_metrics().ingest_merge);
-  bool (*cmp)(const SeqRecord&, const SeqRecord&) =
-      by_time ? &seq_time_order : &seq_only_order;
 
   std::size_t total = 0;
   for (const auto& shard : shards) total += shard.size();
@@ -271,7 +266,8 @@ void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
         shards[largest][p * shards[largest].size() / partitions];
     for (std::size_t s = 0; s < k; ++s) {
       cuts[p][s] = static_cast<std::size_t>(
-          std::lower_bound(shards[s].begin(), shards[s].end(), splitter, cmp) -
+          std::lower_bound(shards[s].begin(), shards[s].end(), splitter,
+                           seq_time_order) -
           shards[s].begin());
     }
   }
@@ -283,8 +279,8 @@ void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
     offsets[p + 1] = offsets[p] + size;
   }
 
-  run_parallel(pool, partitions, [&](std::size_t p) {
-    merge_partition(shards, cuts[p], cuts[p + 1], cmp, out.data() + offsets[p]);
+  pool.parallel_for(partitions, [&](std::size_t p) {
+    merge_partition(shards, cuts[p], cuts[p + 1], out.data() + offsets[p]);
   });
 }
 
@@ -297,7 +293,7 @@ void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
 // order — the precondition of parallel_merge and the order the inline
 // shard observer sees (each shard's exact subsequence of the output).
 void gather_and_clean(std::vector<DecodedChunk>& decoded,
-                      const IngestOptions& options, WorkerPool* pool,
+                      const IngestOptions& options, WorkerPool& pool,
                       std::size_t shard_count,
                       std::vector<cleaning::SecondCarry>* carry,
                       std::vector<std::vector<SeqRecord>>& shards,
@@ -317,7 +313,7 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
     }
   } bracket(options);
   const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
-  run_parallel(pool, shard_count, [&](std::size_t s) {
+  pool.parallel_for(shard_count, [&](std::size_t s) {
     {
       obs::StageTimer clean_timer(metrics.ingest_clean);
       std::size_t total = 0;
@@ -332,16 +328,18 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
         // would otherwise stay allocated through clean, observe and merge.
         std::vector<SeqRecord>().swap(bucket);
       }
+      // The gathered shard is in arrival order. Establish final merge
+      // order once — both the observer and parallel_merge consume it:
+      // cleaning::run leaves its output sorted whenever the
+      // second-granularity repair runs, and its other kernels keep order.
       if (options.cleaning != nullptr) {
-        sort_seq_records(shards[s]);
         reports[s] = cleaning::run(shards[s], *options.cleaning,
                                    carry != nullptr ? &(*carry)[s] : nullptr);
       }
-      // Establish final merge order once per shard (cleaning can perturb
-      // (time, seq) order: sub-second spacing moves stamps forward); both
-      // the observer and parallel_merge consume it.
-      std::sort(shards[s].begin(), shards[s].end(),
-                options.sort_by_time ? &seq_time_order : &seq_only_order);
+      if (options.cleaning == nullptr ||
+          !options.cleaning->fix_second_granularity) {
+        sort_seq_records(shards[s]);
+      }
     }
     if (options.shard_observer && !shards[s].empty()) {
       obs::StageTimer observe_timer(metrics.ingest_observe);
@@ -536,38 +534,20 @@ bool read_spill_record(std::istream& in, SeqRecord& out) {
   return true;
 }
 
-/// Iterates one ordered run, wherever it lives.
-class RunCursor {
+/// A spilled window run, read back one record at a time.
+class SpillRun {
  public:
-  virtual ~RunCursor() = default;
-  virtual bool next(SeqRecord& out) = 0;
-};
-
-class MemoryRunCursor final : public RunCursor {
- public:
-  explicit MemoryRunCursor(std::vector<SeqRecord>&& run)
-      : run_(std::move(run)) {}
-  bool next(SeqRecord& out) override {
-    if (pos_ >= run_.size()) return false;
-    out = std::move(run_[pos_++]);
-    return true;
-  }
-
- private:
-  std::vector<SeqRecord> run_;
-  std::size_t pos_ = 0;
-};
-
-class SpillRunCursor final : public RunCursor {
- public:
-  explicit SpillRunCursor(const std::string& path)
-      : in_(path, std::ios::binary) {
+  explicit SpillRun(const std::string& path) : in_(path, std::ios::binary) {
     if (!in_) throw DecodeError("cannot reopen spill run: " + path);
+    advance();
   }
-  bool next(SeqRecord& out) override { return read_spill_record(in_, out); }
+  SeqRecord* head() { return live_ ? &head_ : nullptr; }
+  void advance() { live_ = read_spill_record(in_, head_); }
 
  private:
   std::ifstream in_;
+  SeqRecord head_;
+  bool live_ = false;
 };
 
 /// Completed window runs: buffered in memory, or spilled to temp files
@@ -622,51 +602,24 @@ class RunStore {
 
   [[nodiscard]] std::size_t total_records() const { return total_records_; }
 
-  /// Streams the k-way merge of every run (by `cmp` order) into `emit`,
-  /// holding one record per run in memory. Consumes the store.
-  void merge(bool by_time,
-             const std::function<void(UpdateRecord&&)>& emit) {
+  /// Streams the k-way merge of every run into `emit`, holding one
+  /// record per spilled run in memory. Consumes the store.
+  void merge(const std::function<void(UpdateRecord&&)>& emit) {
     obs::StageTimer run_merge_timer(obs::pipeline_metrics().ingest_run_merge);
-    bool (*cmp)(const SeqRecord&, const SeqRecord&) =
-        by_time ? &seq_time_order : &seq_only_order;
-    std::vector<std::unique_ptr<RunCursor>> cursors;
-    cursors.reserve(memory_.size() + files_.size());
-    for (std::vector<SeqRecord>& run : memory_) {
-      cursors.push_back(std::make_unique<MemoryRunCursor>(std::move(run)));
-    }
-    for (const std::string& path : files_) {
-      cursors.push_back(std::make_unique<SpillRunCursor>(path));
-    }
-    memory_.clear();
-
-    struct HeapEntry {
-      SeqRecord record;
-      std::size_t cursor;
-    };
-    // Min-heap via inverted cmp; cmp is a strict total order (unique
-    // seq), so the merge is deterministic for any cursor order.
-    auto heap_after = [cmp](const HeapEntry& a, const HeapEntry& b) {
-      return cmp(b.record, a.record);
-    };
-    std::vector<HeapEntry> heap;
-    heap.reserve(cursors.size());
-    for (std::size_t c = 0; c < cursors.size(); ++c) {
-      SeqRecord record;
-      if (cursors[c]->next(record)) {
-        heap.push_back(HeapEntry{std::move(record), c});
+    auto take = [&](SeqRecord& head) { emit(std::move(head.record)); };
+    // add_run keeps every run in memory or spills every run, by dir_.
+    if (dir_.empty()) {
+      std::vector<SpanRun> runs;
+      runs.reserve(memory_.size());
+      for (std::vector<SeqRecord>& run : memory_) {
+        runs.push_back(SpanRun{run.data(), run.data() + run.size()});
       }
-    }
-    std::make_heap(heap.begin(), heap.end(), heap_after);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), heap_after);
-      HeapEntry entry = std::move(heap.back());
-      heap.pop_back();
-      emit(std::move(entry.record.record));
-      SeqRecord refill;
-      if (cursors[entry.cursor]->next(refill)) {
-        heap.push_back(HeapEntry{std::move(refill), entry.cursor});
-        std::push_heap(heap.begin(), heap.end(), heap_after);
-      }
+      tournament_merge(runs, take);
+    } else {
+      std::vector<SpillRun> runs;
+      runs.reserve(files_.size());
+      for (const std::string& path : files_) runs.emplace_back(path);
+      tournament_merge(runs, take);
     }
     discard();
   }
@@ -750,10 +703,9 @@ struct StreamingIngestor::Impl {
         runs(opts.window_records == 0 ? std::string() : opts.spill_dir),
         // threads-1 pool workers: the calling thread participates in
         // every stage (parallel_for and wait() both help), so total
-        // concurrency equals the configured thread count. threads <= 1
-        // runs everything inline with no pool at all.
-        pool(threads > 1 ? std::make_unique<WorkerPool>(threads - 1)
-                         : nullptr) {
+        // concurrency equals the configured thread count. One thread is a
+        // zero-worker pool that runs every task on the caller.
+        pool(threads - 1) {
     stats.shards = shard_count;
     stats.threads = threads;
   }
@@ -762,9 +714,9 @@ struct StreamingIngestor::Impl {
     // A pipelined prefetch may still be decoding; its tasks capture
     // `this`, so quiesce them before any member is torn down. Errors are
     // swallowed: nobody is left to consume this window.
-    if (prefetch != nullptr && pool != nullptr) {
+    if (prefetch != nullptr) {
       try {
-        pool->wait(prefetch->group);
+        pool.wait(prefetch->group);
       } catch (...) {
       }
     }
@@ -851,17 +803,17 @@ struct StreamingIngestor::Impl {
   };
 
   /// Blocks the framer until a decode slot frees up — by executing other
-  /// queued pool tasks while it waits, so even a 1-worker pool can never
-  /// deadlock on its own decode backlog. Returns early once the group
-  /// has failed (the decode task's catch handler releases its slot and
-  /// notifies before rethrowing, so no wakeup is ever missed).
+  /// queued pool tasks while it waits, so even a zero-worker pool can
+  /// never deadlock on its own decode backlog. Returns early once the
+  /// group has failed (the decode task's catch handler releases its slot
+  /// and notifies before rethrowing, so no wakeup is ever missed).
   void wait_for_decode_slot(WindowDecode& w, std::size_t cap) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(w.mutex);
         if (w.in_flight < cap || w.group.failed()) return;
       }
-      if (pool->help_one()) continue;
+      if (pool.help_one()) continue;
       // Nothing left to steal: every in-flight decode is executing on a
       // worker right now, and each completion notifies slot_free.
       std::unique_lock<std::mutex> lock(w.mutex);
@@ -878,8 +830,8 @@ struct StreamingIngestor::Impl {
       ++w.in_flight;
     }
     metrics.ingest_decode_in_flight->add();
-    pool->submit(w.group, [this, &w, &metrics,
-                           chunk = std::move(chunk)]() mutable {
+    pool.submit(w.group, [this, &w, &metrics,
+                          chunk = std::move(chunk)]() mutable {
       try {
         DecodedChunk out = decode_mrt_chunk(sources[chunk.file].collector,
                                             std::move(chunk), shard_count);
@@ -938,31 +890,19 @@ struct StreamingIngestor::Impl {
       // Overlap accounting: ~0 here means the prefetched window was
       // already done when the current one finished (perfect pipelining).
       obs::StageTimer wait_timer(obs::pipeline_metrics().ingest_prefetch_wait);
-      pool->wait(w->group);
+      pool.wait(w->group);
       return w;
     }
     auto w = std::make_unique<WindowDecode>();
-    if (pool == nullptr) {
-      w->framed = frame_window(budget, [&](FramedChunk&& chunk) {
-        w->decoded.push_back(decode_mrt_chunk(sources[chunk.file].collector,
-                                              std::move(chunk), shard_count));
-        return true;
-      });
-      w->end_next_source = next_source;
-      w->end_input_open = input.has_value();
-      w->end_current_file = current_file;
-      w->end_chunk_index = chunk_index;
-      return w;
-    }
     try {
       frame_and_decode(*w, budget);
     } catch (...) {
       // Decode tasks still reference *w; fail the group so they are
       // skipped, then wait() below quiesces them and rethrows the first
       // error (this one, unless a decode task beat the framer to it).
-      pool->fail(w->group, std::current_exception());
+      pool.fail(w->group, std::current_exception());
     }
-    pool->wait(w->group);
+    pool.wait(w->group);
     return w;
   }
 
@@ -973,8 +913,7 @@ struct StreamingIngestor::Impl {
   void start_prefetch(std::size_t budget) {
     prefetch = std::make_unique<WindowDecode>();
     WindowDecode& w = *prefetch;
-    pool->submit(w.group,
-                 [this, &w, budget] { frame_and_decode(w, budget); });
+    pool.submit(w.group, [this, &w, budget] { frame_and_decode(w, budget); });
   }
 
   /// add_stream/add_file would reallocate `sources` under a running
@@ -982,9 +921,9 @@ struct StreamingIngestor::Impl {
   /// for the next poll — appending sources after the current cursor
   /// cannot invalidate an already-framed prefix of the arrival order.
   void drain_prefetch_for_add() {
-    if (prefetch == nullptr || pool == nullptr) return;
+    if (prefetch == nullptr) return;
     try {
-      pool->wait(prefetch->group);
+      pool.wait(prefetch->group);
     } catch (...) {
       failed = true;  // same poisoning a failing poll() would apply
       throw;
@@ -1017,8 +956,11 @@ struct StreamingIngestor::Impl {
     // Pipeline: frame+decode the NEXT window on the pool while this one
     // cleans and merges. Only when this window filled its whole budget —
     // a short window means the input is exhausted (and leaves add_*
-    // between polls cheap: no prefetch to quiesce).
-    if (pool != nullptr && options.pipeline_windows && w->framed >= budget) {
+    // between polls cheap: no prefetch to quiesce). A zero-worker pool
+    // would only run the prefetch on the caller, so one thread never
+    // queues one.
+    if (pool.worker_count() > 0 && options.pipeline_windows &&
+        w->framed >= budget) {
       start_prefetch(budget);
     }
 
@@ -1031,14 +973,13 @@ struct StreamingIngestor::Impl {
 
     sort_decoded(w->decoded);
     std::vector<std::vector<SeqRecord>> shards;
-    gather_and_clean(w->decoded, options, pool.get(), shard_count, &carry,
-                     shards, cleaning_report);
+    gather_and_clean(w->decoded, options, pool, shard_count, &carry, shards,
+                     cleaning_report);
     if (direct != nullptr && w->framed < budget && runs.total_records() == 0) {
-      parallel_merge(shards, options.sort_by_time, pool.get(), threads,
-                     *direct);
+      parallel_merge(shards, pool, threads, *direct);
     } else {
       std::vector<SeqRecord> run;
-      parallel_merge(shards, options.sort_by_time, pool.get(), threads, run);
+      parallel_merge(shards, pool, threads, run);
       runs.add_run(std::move(run));
     }
     ++stats.windows;
@@ -1076,10 +1017,10 @@ struct StreamingIngestor::Impl {
     result.cleaning = cleaning_report;
     result.stats = stats;
     if (sink != nullptr) {
-      runs.merge(options.sort_by_time, *sink);
+      runs.merge(*sink);
     } else {
       out.reserve(out.size() + runs.total_records());
-      runs.merge(options.sort_by_time, [&](UpdateRecord&& record) {
+      runs.merge([&](UpdateRecord&& record) {
         out.push_back(std::move(record));
       });
     }
@@ -1125,7 +1066,7 @@ struct StreamingIngestor::Impl {
   std::unique_ptr<WindowDecode> prefetch;
   // Declared last: destroyed first, after ~Impl has quiesced the
   // prefetch group, while every member its tasks referenced still lives.
-  std::unique_ptr<WorkerPool> pool;
+  WorkerPool pool;
 };
 
 StreamingIngestor::StreamingIngestor(const IngestOptions& options)

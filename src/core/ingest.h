@@ -27,8 +27,10 @@
 //                once per session, not once per file.
 //   4. Merge   — the sorted shard runs are stitched into one UpdateStream
 //                totally ordered by (timestamp, arrival sequence) with a
-//                partitioned k-way tournament (loser-tree) merge: workers
-//                merge disjoint slices of the output concurrently.
+//                partitioned k-way tournament (winner-tree) merge: workers
+//                merge disjoint slices of the output concurrently. The
+//                final run-merge streams the window runs through the same
+//                winner tree.
 //
 // Every stage is deterministic in the logical record sequence alone:
 // ingesting with 1 thread or N threads, any chunk size, any queue depth,
@@ -79,8 +81,10 @@ inline constexpr std::size_t kMaxIngestShards = 4096;
 /// Knobs for the parallel ingestion engine.
 struct IngestOptions {
   /// Worker threads for decode, per-shard cleaning, and the partitioned
-  /// merge. 0 means "use std::thread::hardware_concurrency()"; 1 runs
-  /// everything inline (no queue, no threads).
+  /// merge. 0 means "use std::thread::hardware_concurrency()". The engine
+  /// owns a pool of num_threads - 1 workers and the calling thread helps,
+  /// so 1 is a zero-worker pool: every task runs on the caller, and no
+  /// window is prefetched.
   unsigned num_threads = 1;
   /// Raw records per framed batch: the decode work unit. Smaller chunks
   /// balance better, larger chunks amortize dispatch.
@@ -89,10 +93,6 @@ struct IngestOptions {
   /// in flight (the framer blocks when decode falls behind). 0 means
   /// "auto": 2× the worker count, at least 4.
   std::size_t queue_chunks = 0;
-  /// When true (default) the output is sorted by (timestamp, arrival
-  /// sequence); when false it keeps arrival order — the legacy
-  /// UpdateStream::from_mrt_file / from_collector contract.
-  bool sort_by_time = true;
   /// Optional §4 cleaning, applied per shard before the merge. Null skips
   /// cleaning entirely.
   const CleaningOptions* cleaning = nullptr;

@@ -5,6 +5,7 @@
 // edge cases on second-granularity collectors.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "mrt/mrt.h"
 #include "netbase/error.h"
 #include "sim/collector.h"
+#include "test_dir.h"
 
 namespace bgpcc::core {
 namespace {
@@ -237,7 +239,6 @@ TEST(ParallelIngest, MatchesLegacySequentialPipeline) {
   // Legacy path: file-order builder, then in-place clean().
   IngestOptions legacy_options;
   legacy_options.num_threads = 1;
-  legacy_options.sort_by_time = false;
   UpdateStream legacy = ingest(archive, legacy_options).stream;
   CleaningReport legacy_report = clean(legacy, cleaning);
 
@@ -321,11 +322,41 @@ TEST(ParallelIngest, CollectorIngestMatchesLegacy) {
     IngestOptions options;
     options.num_threads = threads;
     options.chunk_records = 16;
-    options.sort_by_time = false;
     IngestResult result = ingest_collector(collector, options);
     EXPECT_TRUE(legacy.records() == result.stream.records());
     EXPECT_EQ(result.stats.update_messages, 200u);
   }
+}
+
+TEST(ParallelIngest, FileBuilderReturnsTimeThenArrivalOrder) {
+  // The second record is stamped before the first, and the third ties
+  // the first: the builder orders by time, then by arrival.
+  Peer a{Asn(65001), IpAddress::from_string("10.0.0.1")};
+  Peer b{Asn(65002), IpAddress::from_string("10.0.0.2")};
+  Timestamp early = Timestamp::from_unix_seconds(1600000000);
+  Timestamp late = early + Duration::seconds(5);
+  testing_support::TestDir dir;
+  std::string path = dir.path("out_of_order.mrt");
+  {
+    std::ofstream file(path, std::ios::binary);
+    mrt::Writer writer(file);
+    write_update(writer, late, a, announce({"10.1.0.0/16"}, {65001}), true);
+    write_update(writer, early, b, announce({"10.2.0.0/16"}, {65002}), true);
+    write_update(writer, late, b, withdraw({"10.2.0.0/16"}), true);
+  }
+
+  UpdateStream stream = UpdateStream::from_mrt_file("rrc00", path);
+  const std::vector<UpdateRecord>& records = stream.records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].time, early);
+  EXPECT_EQ(records[0].prefix, Prefix::from_string("10.2.0.0/16"));
+  EXPECT_TRUE(records[0].announcement);
+  EXPECT_EQ(records[1].time, late);
+  EXPECT_EQ(records[1].prefix, Prefix::from_string("10.1.0.0/16"));
+  EXPECT_EQ(records[2].time, late);
+  EXPECT_EQ(records[2].prefix, Prefix::from_string("10.2.0.0/16"));
+  EXPECT_FALSE(records[2].announcement);
+  EXPECT_TRUE(records == ingest_mrt_file("rrc00", path).stream.records());
 }
 
 TEST(ParallelIngest, StatsAreDeterministic) {
